@@ -301,12 +301,8 @@ runnerOptions(const BenchArgs &args)
     return opts;
 }
 
-/** Stamp kernel-level flags (--idle-elision) and fabric overrides
- *  (--topology / --mesh-x / --mesh-y / --cluster / --arity) onto every
- *  point's SystemConfig, then validate the result so a bad combination
- *  dies with SystemConfig's actionable message before any point runs.
- *  Call after assembling a points vector, before handing it to the
- *  runner. Works on SweepPoint and TimelinePoint alike. */
+/** Stamp the fabric overrides (--topology / --mesh-x / --mesh-y /
+ *  --cluster / --arity) onto @p config. */
 inline void
 applyFabricOverrides(const BenchArgs &args, SystemConfig &config)
 {
@@ -322,9 +318,13 @@ applyFabricOverrides(const BenchArgs &args, SystemConfig &config)
         config.fatTreeArity = args.fatTreeArity;
 }
 
-template <typename Point>
+/** Stamp kernel-level flags (--idle-elision, --shards, --leakage,
+ *  --metrics-interval) and the fabric overrides onto every point's
+ *  SystemConfig, then validate the result so a bad combination dies
+ *  with SystemConfig's actionable message before any point runs. Call
+ *  after assembling a points vector, before handing it to the runner. */
 inline void
-applyKernelArgs(const BenchArgs &args, std::vector<Point> &points)
+applyKernelArgs(const BenchArgs &args, std::vector<SweepPoint> &points)
 {
     for (auto &p : points) {
         p.config.idleElision = args.idleElision;
@@ -341,11 +341,9 @@ applyKernelArgs(const BenchArgs &args, std::vector<Point> &points)
 
 /** Mark the point at @p index for tracing when --trace was given.
  *  Each bench designates exactly one point — the sink factory writes
- *  every traced point to the single --trace path. Works on SweepPoint
- *  and TimelinePoint vectors alike. */
-template <typename Point>
+ *  every traced point to the single --trace path. */
 inline void
-markTracePoint(const BenchArgs &args, std::vector<Point> &points,
+markTracePoint(const BenchArgs &args, std::vector<SweepPoint> &points,
                std::size_t index)
 {
     if (args.trace.empty())
@@ -397,23 +395,6 @@ inline int
 exitStatus(const SweepReport &report)
 {
     return report.allOk() ? 0 : 1;
-}
-
-/** Same for timeline sweeps, printing what failed (timeline benches
- *  have no SweepReport to carry the breakdown). */
-inline int
-exitStatus(const std::vector<TimelineOutcome> &outcomes)
-{
-    int failed = 0;
-    for (const auto &o : outcomes) {
-        if (o.status != PointStatus::kOk) {
-            failed++;
-            std::printf("  FAILED [%zu] %s after %d attempt(s): %s\n",
-                        o.index, o.label.c_str(), o.attempts,
-                        o.error.c_str());
-        }
-    }
-    return failed > 0 ? 1 : 0;
 }
 
 /** Column-aligned table that mirrors itself into a CSV file. */

@@ -16,9 +16,11 @@
  * The paper's trace spans ~1.5M cycles; we compress the same plateau
  * pattern into 300k cycles (documented in EXPERIMENTS.md).
  *
- * The seven configurations run as one timeline sweep; they all carry
- * seedKey 0, i.e. the identical traffic stream, so the curves differ
- * only by configuration.
+ * The seven configurations run as one sweep of timeline points
+ * (RunProtocol::bin set), so --journal/--resume/--isolate and the
+ * watchdog apply as on every other sweep. They all carry seedKey 0,
+ * i.e. the identical traffic stream, so the curves differ only by
+ * configuration.
  */
 
 #include "bench_util.hh"
@@ -81,14 +83,18 @@ main(int argc, char **argv)
         {"vcsel", &vcsel},
     };
 
-    std::vector<TimelinePoint> points;
+    RunProtocol protocol;
+    protocol.warmup = 0;
+    protocol.measure = kTotal;
+    protocol.bin = kBin;
+
+    std::vector<SweepPoint> points;
     for (const auto &c : cases) {
-        TimelinePoint p;
+        SweepPoint p;
         p.label = c.name;
         p.config = *c.config;
         p.spec = spec;
-        p.total = kTotal;
-        p.bin = kBin;
+        p.protocol = protocol;
         p.seedKey = 0; // all cases see the identical traffic stream
         points.push_back(std::move(p));
     }
@@ -100,15 +106,19 @@ main(int argc, char **argv)
     std::printf("running %zu configurations over %llu cycles each...\n",
                 points.size(), static_cast<unsigned long long>(kTotal));
     SweepRunner runner(runnerOptions(args));
-    std::vector<TimelineOutcome> outcomes = runTimelines(runner, points);
+    SweepReport report = runner.run(points);
+    printReport(report);
 
-    const TimelineResult &r_base = outcomes[0].timeline;
-    const TimelineResult &r_mod = outcomes[1].timeline;
-    const TimelineResult &r_no_tv = outcomes[2].timeline;
-    const TimelineResult &r_no_tbr = outcomes[3].timeline;
-    const TimelineResult &r_no_delays = outcomes[4].timeline;
-    const TimelineResult &r_tri = outcomes[5].timeline;
-    const TimelineResult &r_vcsel = outcomes[6].timeline;
+    const SweepOutcome &r_base = report.outcomes[0];
+    const SweepOutcome &r_mod = report.outcomes[1];
+    const SweepOutcome &r_no_tv = report.outcomes[2];
+    const SweepOutcome &r_no_tbr = report.outcomes[3];
+    const SweepOutcome &r_no_delays = report.outcomes[4];
+    const SweepOutcome &r_tri = report.outcomes[5];
+    const SweepOutcome &r_vcsel = report.outcomes[6];
+    // A failed point carries no series; the tables then come out empty.
+    const std::size_t bins =
+        report.allOk() ? r_base.series.avgLatency.size() : 0;
 
     // (b) latency vs time, transition-delay ablation.
     {
@@ -117,12 +127,13 @@ main(int argc, char **argv)
                 "fig6b_latency_transition_delays.csv",
                 {"cycle", "non_pa", "pa", "pa_tv0", "pa_tbr0",
                  "pa_no_delays"});
-        for (std::size_t i = 0; i < r_base.avgLatency.size(); i++) {
+        for (std::size_t i = 0; i < bins; i++) {
             t.rowNumeric({static_cast<double>(i * kBin),
-                          r_base.avgLatency[i], r_mod.avgLatency[i],
-                          r_no_tv.avgLatency[i],
-                          r_no_tbr.avgLatency[i],
-                          r_no_delays.avgLatency[i]},
+                          r_base.series.avgLatency[i],
+                          r_mod.series.avgLatency[i],
+                          r_no_tv.series.avgLatency[i],
+                          r_no_tbr.series.avgLatency[i],
+                          r_no_delays.series.avgLatency[i]},
                          1);
         }
         t.print();
@@ -140,10 +151,11 @@ main(int argc, char **argv)
                 "levels",
                 "fig6c_latency_optical_levels.csv",
                 {"cycle", "non_pa", "single_level", "three_levels"});
-        for (std::size_t i = 0; i < r_base.avgLatency.size(); i++) {
+        for (std::size_t i = 0; i < bins; i++) {
             t.rowNumeric({static_cast<double>(i * kBin),
-                          r_base.avgLatency[i], r_mod.avgLatency[i],
-                          r_tri.avgLatency[i]},
+                          r_base.series.avgLatency[i],
+                          r_mod.series.avgLatency[i],
+                          r_tri.series.avgLatency[i]},
                          1);
         }
         t.print();
@@ -161,12 +173,12 @@ main(int argc, char **argv)
                 "fig6d_power_scheme.csv",
                 {"cycle", "offered_rate", "modulator", "vcsel",
                  "modulator_tri"});
-        for (std::size_t i = 0; i < r_mod.normalizedPower.size(); i++) {
+        for (std::size_t i = 0; i < bins; i++) {
             t.rowNumeric({static_cast<double>(i * kBin),
-                          r_mod.offeredRate[i],
-                          r_mod.normalizedPower[i],
-                          r_vcsel.normalizedPower[i],
-                          r_tri.normalizedPower[i]});
+                          r_mod.series.offeredRate[i],
+                          r_mod.series.normalizedPower[i],
+                          r_vcsel.series.normalizedPower[i],
+                          r_tri.series.normalizedPower[i]});
         }
         t.print();
         std::printf("   run averages: modulator %.3f | vcsel %.3f | "
@@ -177,7 +189,7 @@ main(int argc, char **argv)
     }
 
     writeSweepManifest("fig6_manifest.json", "fig6_hotspot", args.seed,
-                       timelineRollups(outcomes));
+                       report.outcomes);
     std::printf("   (manifest: fig6_manifest.json)\n");
-    return exitStatus(outcomes);
+    return exitStatus(report);
 }

@@ -13,7 +13,8 @@
  *
  * The three traces are generated up front (the trace IS the workload;
  * its generator seed is fixed, not tied to --seed) and replayed as one
- * timeline sweep across the worker pool.
+ * sweep of timeline points (RunProtocol::bin set) across the worker
+ * pool.
  */
 
 #include "bench_util.hh"
@@ -40,7 +41,7 @@ main(int argc, char **argv)
     // keeps a pointer, so they must stay alive for the whole run.
     std::vector<TraceData> traces;
     traces.reserve(std::size(kinds));
-    std::vector<TimelinePoint> points;
+    std::vector<SweepPoint> points;
     SystemConfig base; // modulator, paper defaults + fabric flags
     applyFabricOverrides(args, base);
     for (SplashKind kind : kinds) {
@@ -52,22 +53,24 @@ main(int argc, char **argv)
         sp.seed = 61;
         traces.push_back(generateSplashTrace(sp));
 
-        TimelinePoint p;
+        SweepPoint p;
         p.label = splashKindName(kind);
         p.config = base;
         p.spec = TrafficSpec::traceReplay(traces.back());
-        p.total = kDuration;
-        p.bin = kBin;
+        p.protocol.warmup = 0;
+        p.protocol.measure = kDuration;
+        p.protocol.bin = kBin;
         points.push_back(std::move(p));
     }
     applyKernelArgs(args, points);
     markTracePoint(args, points, 0); // the FFT replay
 
     SweepRunner runner(runnerOptions(args));
-    std::vector<TimelineOutcome> outcomes = runTimelines(runner, points);
+    SweepReport report = runner.run(points);
+    printReport(report);
 
-    for (std::size_t k = 0; k < outcomes.size(); k++) {
-        const TimelineResult &r = outcomes[k].timeline;
+    for (std::size_t k = 0; k < report.outcomes.size(); k++) {
+        const TimelineSeries &r = report.outcomes[k].series;
         std::string name = splashKindName(kinds[k]);
         Table t("Fig 7 (" + name + "): injection rate and normalized "
                 "power over time",
@@ -83,11 +86,12 @@ main(int argc, char **argv)
         std::printf("   %s: mean packet %.1f flits, %zu packets, "
                     "run-average power %.3f of baseline\n",
                     name.c_str(), traceMeanPacketLen(traces[k]),
-                    traces[k].size(), r.metrics.normalizedPower);
+                    traces[k].size(),
+                    report.outcomes[k].metrics.normalizedPower);
     }
 
     writeSweepManifest("fig7_manifest.json", "fig7_splash", args.seed,
-                       timelineRollups(outcomes));
+                       report.outcomes);
     std::printf("   (manifest: fig7_manifest.json)\n");
-    return exitStatus(outcomes);
+    return exitStatus(report);
 }

@@ -21,10 +21,20 @@ using namespace oenet::bench;
 int
 main(int argc, char **argv)
 {
-    // Analytical tables only — no simulation, so --jobs/--seed have
-    // nothing to act on; parsed anyway so the CLI matches the other
-    // benches.
-    parseBenchArgs(argc, argv, 1);
+    // Analytical tables only: no sweep, so no sweep flag has anything
+    // to act on. Refuse them rather than accept and ignore them.
+    for (int i = 1; i < argc; i++) {
+        if (std::strcmp(argv[i], "--help") == 0 ||
+            std::strcmp(argv[i], "-h") == 0) {
+            std::printf("usage: %s\n  prints Table 2 and writes "
+                        "table2_*.csv; takes no flags\n",
+                        argv[0]);
+            return 0;
+        }
+        fatal("%s: '%s' rejected: Table 2 is analytical (no sweep, no "
+              "simulation), so it takes no flags except --help",
+              argv[0], argv[i]);
+    }
     banner("Table 2", "Power consumption and scaling trends of the "
                       "link components");
 

@@ -9,7 +9,7 @@
  * The child must confine itself to computing and writing its payload:
  * the body runs after fork() in a multi-threaded parent, so it must
  * not touch locks other threads might have held (our bodies build a
- * fresh simulation and write a trivially-copyable result — malloc is
+ * fresh simulation and write a serialized result record — malloc is
  * made fork-safe by glibc's pthread_atfork handlers). The child exits
  * with _exit(), never exit(), so no parent-owned atexit state runs
  * twice.

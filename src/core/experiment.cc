@@ -93,9 +93,56 @@ makeTraffic(const TrafficSpec &spec, const SystemConfig &config)
     panic("makeTraffic: bad spec kind");
 }
 
-RunMetrics
-runExperiment(const SystemConfig &config, const TrafficSpec &spec,
-              const RunProtocol &protocol, const TraceOptions &trace)
+namespace {
+
+/** Run @p total measured cycles in @p bin-cycle steps, appending each
+ *  bin's offered rate, normalized power and mean latency. */
+void
+recordSeries(PoeSystem &sys, Cycle total, Cycle bin,
+             TimelineSeries &series)
+{
+    series.bin = bin;
+    double base = sys.network().baselinePowerMw();
+    double prev_integral =
+        sys.network().totalPowerIntegralMwCycles(sys.now());
+    std::uint64_t prev_created = sys.measuredCreated();
+    double prev_lat_sum = sys.latencyStat().sum();
+    std::size_t prev_lat_n = sys.latencyStat().count();
+
+    for (Cycle t = 0; t < total; t += bin) {
+        Cycle step = bin < total - t ? bin : total - t;
+        sys.run(step);
+
+        double integral =
+            sys.network().totalPowerIntegralMwCycles(sys.now());
+        series.normalizedPower.push_back(
+            (integral - prev_integral) /
+            (static_cast<double>(step) * base));
+        prev_integral = integral;
+
+        std::uint64_t created = sys.measuredCreated();
+        series.offeredRate.push_back(
+            static_cast<double>(created - prev_created) /
+            static_cast<double>(step));
+        prev_created = created;
+
+        double lat_sum = sys.latencyStat().sum();
+        std::size_t lat_n = sys.latencyStat().count();
+        series.avgLatency.push_back(
+            lat_n > prev_lat_n
+                ? (lat_sum - prev_lat_sum) /
+                      static_cast<double>(lat_n - prev_lat_n)
+                : 0.0);
+        prev_lat_sum = lat_sum;
+        prev_lat_n = lat_n;
+    }
+}
+
+} // namespace
+
+TimelineResult
+runPoint(const SystemConfig &config, const TrafficSpec &spec,
+         const RunProtocol &protocol, const TraceOptions &trace)
 {
     SystemConfig cfg = config;
     // An unset fault seed follows the traffic seed (decorrelated by the
@@ -109,19 +156,39 @@ runExperiment(const SystemConfig &config, const TrafficSpec &spec,
         sys.setTraceSink(trace.sink, cfg.metricsIntervalCycles);
     sys.run(protocol.warmup);
     sys.startMeasurement();
-    sys.run(protocol.measure);
+    TimelineResult result;
+    if (protocol.bin > 0)
+        recordSeries(sys, protocol.measure, protocol.bin, result);
+    else
+        sys.run(protocol.measure);
     sys.stopMeasurement();
     sys.awaitDrain(protocol.drainLimit);
-    RunMetrics m = sys.metrics();
+    result.metrics = sys.metrics();
     if (cfg.conservationAuditEnabled()) {
         // Detach the sink before the audit's settle cycles so the
         // trace ends exactly where the untraced run's would; nothing
         // below emits events.
         if (trace.sink)
             sys.setTraceSink(nullptr);
-        m.auditFailures = sys.auditConservation();
+        result.metrics.auditFailures = sys.auditConservation();
     }
-    return m;
+    return result;
+}
+
+RunMetrics
+runExperiment(const SystemConfig &config, const TrafficSpec &spec,
+              const RunProtocol &protocol, const TraceOptions &trace)
+{
+    return runPoint(config, spec, protocol, trace).metrics;
+}
+
+TimelineResult
+runTimeline(const SystemConfig &config, const TrafficSpec &spec,
+            Cycle total, Cycle bin, Cycle warmup,
+            const TraceOptions &trace)
+{
+    return runPoint(config, spec, RunProtocol{warmup, total, 300000, bin},
+                    trace);
 }
 
 double

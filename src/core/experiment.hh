@@ -1,7 +1,8 @@
 /**
  * @file
  * Experiment protocol: declarative traffic specs, the
- * warmup/measure/drain run procedure, zero-load latency, and the
+ * warmup/measure/drain run procedure (optionally sampled into the
+ * per-bin series behind Figs. 6-7), zero-load latency, and the
  * saturation-throughput search (Section 4.1: throughput is the
  * injection rate at which average latency exceeds twice the zero-load
  * latency).
@@ -67,6 +68,25 @@ struct RunProtocol
     Cycle warmup = 20000;
     Cycle measure = 100000;
     Cycle drainLimit = 300000;
+    /** 0: a plain metrics rollup. > 0: also record a per-bin series
+     *  over the measurement window (a timeline, Figs. 6-7). */
+    Cycle bin = 0;
+};
+
+/** Series sampled every @c bin cycles of the measurement window. */
+struct TimelineSeries
+{
+    Cycle bin = 0; ///< 0 = no series recorded
+    std::vector<double> offeredRate;     ///< packets/cycle in each bin
+    std::vector<double> normalizedPower; ///< avg over each bin
+    std::vector<double> avgLatency;      ///< packets ejected in bin
+};
+
+/** A run's per-bin series (empty when RunProtocol::bin == 0) plus its
+ *  whole-run rollup. */
+struct TimelineResult : TimelineSeries
+{
+    RunMetrics metrics;
 };
 
 /** Optional event tracing for a run (see trace/trace.hh). The power
@@ -77,11 +97,26 @@ struct TraceOptions
     TraceSink *sink = nullptr; ///< not owned; must outlive the run
 };
 
-/** Build a system, run the protocol, return the metrics. */
+/** Build a system, run the protocol, return the metrics and, when
+ *  protocol.bin > 0, the per-bin series. The one run body behind
+ *  runExperiment, runTimeline and SweepRunner. An unset fault seed
+ *  follows the traffic seed. */
+TimelineResult runPoint(const SystemConfig &config,
+                        const TrafficSpec &spec,
+                        const RunProtocol &protocol,
+                        const TraceOptions &trace = {});
+
+/** runPoint's metrics. */
 RunMetrics runExperiment(const SystemConfig &config,
                          const TrafficSpec &spec,
                          const RunProtocol &protocol,
                          const TraceOptions &trace = {});
+
+/** runPoint over RunProtocol{warmup, total, 300000, bin}. */
+TimelineResult runTimeline(const SystemConfig &config,
+                           const TrafficSpec &spec, Cycle total,
+                           Cycle bin, Cycle warmup = 0,
+                           const TraceOptions &trace = {});
 
 /** Latency of a packet on an empty network (avg over a light trickle);
  *  the reference for the 2x saturation rule. */

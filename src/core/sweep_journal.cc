@@ -333,6 +333,61 @@ struct MetricsParser
     }
 };
 
+/** The series arrays in journal order, named once for the writer and
+ *  the parser alike. */
+template <typename Series, typename Visitor>
+void
+forEachSeriesArray(Series &series, Visitor &&v)
+{
+    v("offered_rate", series.offeredRate);
+    v("normalized_power", series.normalizedPower);
+    v("avg_latency", series.avgLatency);
+}
+
+/** Append `, "series": {...}` for a timeline outcome (bin > 0). */
+void
+writeSeries(std::string &out, const TimelineSeries &series)
+{
+    out += ", \"series\": {\"bin\": " + std::to_string(series.bin);
+    forEachSeriesArray(series, [&](const char *name,
+                                   const std::vector<double> &values) {
+        out += ", \"" + std::string(name) + "\": [";
+        for (std::size_t i = 0; i < values.size(); ++i)
+            out += (i > 0 ? ", " : "") + formatExact(values[i]);
+        out += "]";
+    });
+    out += "}";
+}
+
+/** Parse what writeSeries emits. A series needs bin > 0 and three
+ *  equally long arrays — the shape every timeline run produces. */
+bool
+parseSeries(Parser &ps, TimelineSeries &series)
+{
+    std::uint64_t bin = 0;
+    ps.lit(", \"series\": {\"bin\": ");
+    ps.parseUint(bin);
+    series.bin = static_cast<Cycle>(bin);
+    forEachSeriesArray(series, [&](const char *name,
+                                   std::vector<double> &values) {
+        ps.lit(", \"");
+        ps.lit(name);
+        ps.lit("\": [");
+        while (ps.ok && ps.p < ps.end && *ps.p != ']') {
+            if (!values.empty())
+                ps.lit(", ");
+            double v = 0.0;
+            if (ps.parseDouble(v))
+                values.push_back(v);
+        }
+        ps.lit("]");
+    });
+    ps.lit("}");
+    return ps.ok && series.bin > 0 &&
+           series.normalizedPower.size() == series.offeredRate.size() &&
+           series.avgLatency.size() == series.offeredRate.size();
+}
+
 bool
 parseHeaderBody(const std::string &body, SweepJournal::Header &header)
 {
@@ -369,7 +424,12 @@ parseRecordBody(const std::string &body, SweepOutcome &out)
     ps.lit(", \"metrics\": {");
     MetricsParser mp{ps};
     forEachRunMetricsField(out.metrics, mp);
-    ps.lit("}}");
+    ps.lit("}");
+    out.series = TimelineSeries{};
+    if (ps.ok && ps.p < ps.end && *ps.p == ',' &&
+        !parseSeries(ps, out.series))
+        return false;
+    ps.lit("}");
     if (!ps.done())
         return false;
 
@@ -414,8 +474,19 @@ SweepJournal::recordLine(const SweepOutcome &outcome)
     body += ", \"metrics\": {";
     MetricsWriter writer{body};
     forEachRunMetricsField(outcome.metrics, writer);
-    body += "}}";
+    body += "}";
+    if (outcome.series.bin > 0)
+        writeSeries(body, outcome.series);
+    body += "}";
     return wrapLine(body);
+}
+
+bool
+SweepJournal::parseRecordLine(const std::string &line,
+                              SweepOutcome &outcome)
+{
+    std::string body;
+    return unwrapLine(line, body) && parseRecordBody(body, outcome);
 }
 
 SweepJournal::Loaded

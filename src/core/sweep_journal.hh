@@ -12,7 +12,10 @@
  * and point count; every following line is one completed SweepOutcome
  * (full RunMetrics, via forEachRunMetricsField — including the
  * counters that are not manifest columns, so a resumed bench prints
- * the same tables an uninterrupted one would). Records are flushed
+ * the same tables an uninterrupted one would — plus, for a timeline
+ * point only, its per-bin series; a point-sweep record carries no
+ * series key at all). The same record line is what an isolated
+ * point's child sends its parent over the pipe. Records are flushed
  * and fsync'd as each point completes, so after SIGKILL the journal
  * holds every finished point plus at most one torn tail line.
  *
@@ -96,8 +99,14 @@ class SweepJournal
     void close();
 
     /** Serialized record line for @p outcome, including the CRC wrap
-     *  and trailing newline (exposed for tests). */
+     *  and trailing newline. */
     static std::string recordLine(const SweepOutcome &outcome);
+
+    /** Inverse of recordLine: validate @p line's wrap and CRC and
+     *  parse it into @p outcome (params are not journaled). @return
+     *  false, leaving @p outcome unspecified, on any deviation. */
+    static bool parseRecordLine(const std::string &line,
+                                SweepOutcome &outcome);
 
     /** Serialized header line (exposed for tests). */
     static std::string headerLine(const Header &header);

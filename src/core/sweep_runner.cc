@@ -3,10 +3,8 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <mutex>
 #include <thread>
-#include <type_traits>
 
 #include "common/csv.hh"
 #include "common/fs.hh"
@@ -91,42 +89,40 @@ metricsFields(const RunMetrics &m)
     };
 }
 
-// The isolation pipe carries RunMetrics as raw bytes.
-static_assert(std::is_trivially_copyable_v<RunMetrics>,
-              "RunMetrics must stay trivially copyable: isolated sweep "
-              "points ship it over a pipe as raw bytes");
-
 /** One execution attempt of one sweep point. */
 struct Attempt
 {
     bool ok = false;
     bool retryable = true;
-    RunMetrics metrics;
+    SweepOutcome result; ///< metrics and series only
     std::string error;
 };
 
 Attempt
 runAttempt(const SweepPoint &staged, std::uint64_t seed,
-           const SweepRunner::PointFn &fn, bool isolate, double budget_ms)
+           const std::function<void(const SweepPoint &, std::uint64_t,
+                                    SweepOutcome &)> &body,
+           bool isolate, double budget_ms)
 {
     Attempt a;
     if (isolate) {
+        // The child ships its result as a journal record line: one
+        // CRC-checked, bit-exact encoding for the pipe and the journal.
         ChildResult r = runInChild(
             [&](int write_fd) {
-                RunMetrics m = fn(staged, seed);
-                writeAll(write_fd, &m, sizeof(m));
+                body(staged, seed, a.result);
+                std::string line = SweepJournal::recordLine(a.result);
+                writeAll(write_fd, line.data(), line.size());
             },
             budget_ms);
         switch (r.status) {
           case ChildResult::Status::kOk:
-            if (r.payload.size() != sizeof(RunMetrics)) {
-                a.error = "isolated child returned a short metrics "
-                          "payload (" +
-                          std::to_string(r.payload.size()) + " of " +
-                          std::to_string(sizeof(RunMetrics)) + " bytes)";
+            if (!SweepJournal::parseRecordLine(r.payload, a.result)) {
+                a.error = "isolated child returned a malformed result "
+                          "record (" +
+                          std::to_string(r.payload.size()) + " bytes)";
                 return a;
             }
-            std::memcpy(&a.metrics, r.payload.data(), sizeof(RunMetrics));
             break;
           case ChildResult::Status::kTimeout:
             a.error = "watchdog: point exceeded its " +
@@ -139,7 +135,7 @@ runAttempt(const SweepPoint &staged, std::uint64_t seed,
         }
     } else {
         try {
-            a.metrics = fn(staged, seed);
+            body(staged, seed, a.result);
         } catch (const std::exception &e) {
             a.error = std::string("point body threw: ") + e.what();
             return a;
@@ -149,10 +145,10 @@ runAttempt(const SweepPoint &staged, std::uint64_t seed,
         }
     }
 
-    if (a.metrics.auditFailures > 0) {
+    if (a.result.metrics.auditFailures > 0) {
         // Deterministic by construction -- retrying cannot change it.
         a.error = "conservation audit failed (" +
-                  std::to_string(a.metrics.auditFailures) +
+                  std::to_string(a.result.metrics.auditFailures) +
                   " violation(s))";
         a.retryable = false;
         return a;
@@ -210,22 +206,34 @@ SweepRunner::pointSeed(const SweepPoint &point, std::size_t index) const
 SweepReport
 SweepRunner::run(const std::vector<SweepPoint> &points) const
 {
-    return run(points, [this](const SweepPoint &point,
-                              std::uint64_t) -> RunMetrics {
+    return runBody(points, [this](const SweepPoint &point, std::uint64_t,
+                                  SweepOutcome &out) {
         TraceOptions trace;
         std::unique_ptr<TraceSink> sink;
         if (point.trace && options_.traceFactory) {
             sink = options_.traceFactory(point.label);
             trace.sink = sink.get();
         }
-        return runExperiment(point.config, point.spec, point.protocol,
-                             trace);
+        TimelineResult r =
+            runPoint(point.config, point.spec, point.protocol, trace);
+        out.metrics = r.metrics;
+        out.series = std::move(r);
     });
 }
 
 SweepReport
 SweepRunner::run(const std::vector<SweepPoint> &points,
                  const PointFn &fn) const
+{
+    return runBody(points, [&fn](const SweepPoint &point,
+                                 std::uint64_t seed, SweepOutcome &out) {
+        out.metrics = fn(point, seed);
+    });
+}
+
+SweepReport
+SweepRunner::runBody(const std::vector<SweepPoint> &points,
+                     const PointBody &body) const
 {
     SweepReport report;
     report.jobs = effectiveJobs(options_.jobs, points.size());
@@ -352,14 +360,15 @@ SweepRunner::run(const std::vector<SweepPoint> &points,
                 }
 
                 auto attemptStart = std::chrono::steady_clock::now();
-                Attempt a = runAttempt(staged, seed, fn,
+                Attempt a = runAttempt(staged, seed, body,
                                        options_.isolate, budgetMs);
                 totalWallMs += elapsedMs(attemptStart);
                 out.attempts = attempt;
 
                 if (a.ok) {
                     out.status = PointStatus::kOk;
-                    out.metrics = a.metrics;
+                    out.metrics = a.result.metrics;
+                    out.series = std::move(a.result.series);
                     out.error.clear();
                     break;
                 }
@@ -404,122 +413,6 @@ SweepRunner::run(const std::vector<SweepPoint> &points,
     for (const RunningStat &w : workerWallMs)
         report.pointWallMs.merge(w);
     return report;
-}
-
-std::vector<TimelineOutcome>
-runTimelines(const SweepRunner &runner,
-             const std::vector<TimelinePoint> &points)
-{
-    const SweepRunner::Options &opts = runner.options();
-    if (!opts.journalPath.empty() || opts.isolate) {
-        warn("sweep: journal/isolate are not supported for timeline "
-             "sweeps (per-bin series are not checkpointable records); "
-             "running without them");
-    }
-    const int maxAttempts = 1 + std::max(0, opts.maxRetries);
-
-    std::vector<TimelineOutcome> outcomes(points.size());
-    std::mutex progressMutex;
-    std::size_t done = 0;
-
-    parallelFor(
-        points.size(), effectiveJobs(opts.jobs, points.size()),
-        [&](std::size_t i, int) {
-            const TimelinePoint &point = points[i];
-            std::uint64_t key = point.seedKey == kSeedKeyFromIndex
-                                    ? static_cast<std::uint64_t>(i)
-                                    : point.seedKey;
-            std::uint64_t seed = deriveStreamSeed(opts.baseSeed, key);
-
-            TrafficSpec spec = point.spec;
-            if (opts.reseedSpecs)
-                spec.seed = seed;
-
-            TimelineOutcome &out = outcomes[i];
-            out.index = i;
-            out.label = point.label;
-            out.seed = seed;
-
-            auto start = std::chrono::steady_clock::now();
-            for (int attempt = 1;; attempt++) {
-                out.attempts = attempt;
-                try {
-                    TraceOptions trace;
-                    std::unique_ptr<TraceSink> sink;
-                    if (point.trace && opts.traceFactory) {
-                        sink = opts.traceFactory(point.label);
-                        trace.sink = sink.get();
-                    }
-                    out.timeline =
-                        runTimeline(point.config, spec, point.total,
-                                    point.bin, point.warmup, trace);
-                    out.status = PointStatus::kOk;
-                    out.error.clear();
-                    break;
-                } catch (const std::exception &e) {
-                    out.error =
-                        std::string("timeline body threw: ") + e.what();
-                } catch (...) {
-                    out.error = "timeline body threw a non-standard "
-                                "exception";
-                }
-                if (attempt >= maxAttempts) {
-                    out.status = PointStatus::kFailed;
-                    out.timeline = TimelineResult{};
-                    warn("sweep: timeline point %zu '%s' failed after "
-                         "%d attempt(s): %s",
-                         i, point.label.c_str(), attempt,
-                         out.error.c_str());
-                    break;
-                }
-                double backoffMs = std::min(
-                    5000.0, opts.retryBackoffMs *
-                                static_cast<double>(1u << (attempt - 1)));
-                if (backoffMs > 0.0) {
-                    std::this_thread::sleep_for(
-                        std::chrono::duration<double, std::milli>(
-                            backoffMs));
-                }
-            }
-            out.wallMs = elapsedMs(start);
-
-            if (opts.progress) {
-                SweepOutcome progress;
-                progress.index = i;
-                progress.label = point.label;
-                progress.seed = seed;
-                progress.status = out.status;
-                progress.attempts = out.attempts;
-                progress.error = out.error;
-                progress.metrics = out.timeline.metrics;
-                progress.wallMs = out.wallMs;
-                std::lock_guard<std::mutex> lock(progressMutex);
-                done++;
-                opts.progress(progress, done, points.size());
-            }
-        });
-
-    return outcomes;
-}
-
-std::vector<SweepOutcome>
-timelineRollups(const std::vector<TimelineOutcome> &outcomes)
-{
-    std::vector<SweepOutcome> rollups;
-    rollups.reserve(outcomes.size());
-    for (const TimelineOutcome &t : outcomes) {
-        SweepOutcome o;
-        o.index = t.index;
-        o.label = t.label;
-        o.seed = t.seed;
-        o.status = t.status;
-        o.attempts = t.attempts;
-        o.error = t.error;
-        o.metrics = t.timeline.metrics;
-        o.wallMs = t.wallMs;
-        rollups.push_back(std::move(o));
-    }
-    return rollups;
 }
 
 std::string

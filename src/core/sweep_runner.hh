@@ -6,9 +6,11 @@
  * Every evaluation artifact of the paper (Figs. 5-7, Tables 2-3) is a
  * sweep of *independent* simulations: each point is a self-contained
  * (SystemConfig, TrafficSpec, RunProtocol) triple that builds its own
- * PoeSystem and shares nothing with its neighbours. The runner shards
- * those points across a worker pool while keeping results bit-identical
- * at any thread count:
+ * PoeSystem and shares nothing with its neighbours. A timeline (Figs.
+ * 6-7) is an ordinary point whose protocol sets a bin; its outcome
+ * then carries the per-bin series next to the metrics. The runner
+ * shards those points across a worker pool while keeping results
+ * bit-identical at any thread count:
  *
  *  - every point draws its traffic seed from
  *    deriveStreamSeed(baseSeed, seedKey) — a pure function of the sweep
@@ -43,11 +45,12 @@
  *    exponential backoff up to maxRetries, then recorded as a failed
  *    outcome (status column) so the sweep completes gracefully;
  *  - isolation: with Options::isolate, each point runs in a forked
- *    child returning its metrics over a pipe (common/proc.hh), so a
- *    segfault or OOM in one degenerate config cannot take down the
- *    driver; the watchdog kills and reaps hung children. The deadline
- *    is only enforceable on isolated points — without isolate a hung
- *    in-process point cannot be safely interrupted.
+ *    child returning its outcome over a pipe as a journal record (the
+ *    same CRC-guarded, bit-exact encoding), so a segfault or OOM in
+ *    one degenerate config cannot take down the sweep; the watchdog
+ *    kills and reaps hung children. The deadline is only enforceable
+ *    on isolated points — without isolate a hung in-process point
+ *    cannot be safely interrupted.
  *
  * All manifest/CSV writers publish atomically (write-temp + fsync +
  * rename, common/fs.hh): an interrupted run never leaves a torn file
@@ -116,6 +119,9 @@ struct SweepOutcome
     int attempts = 1;  ///< executions it took (1 = no retries)
     std::string error; ///< failure diagnostic; never in manifests
     RunMetrics metrics; ///< zero-initialized when status == kFailed
+    /** Per-bin series of a timeline point (protocol.bin > 0); empty
+     *  (bin == 0) otherwise and when status == kFailed. */
+    TimelineSeries series;
     double wallMs = 0.0; ///< informational; never written to manifests
 
     bool ok() const { return status == PointStatus::kOk; }
@@ -205,11 +211,13 @@ class SweepRunner
     SweepRunner() = default;
     explicit SweepRunner(Options options);
 
-    /** Run every point through the standard warmup/measure/drain
-     *  experiment protocol. */
+    /** Run every point through runPoint: the standard
+     *  warmup/measure/drain protocol, plus the per-bin series when the
+     *  point's protocol sets a bin. */
     SweepReport run(const std::vector<SweepPoint> &points) const;
 
-    /** Run every point through @p fn (e.g. a paired or custom run). */
+    /** Run every point through @p fn (e.g. a paired or custom run);
+     *  outcomes carry no series. */
     SweepReport run(const std::vector<SweepPoint> &points,
                     const PointFn &fn) const;
 
@@ -220,47 +228,16 @@ class SweepRunner
     const Options &options() const { return options_; }
 
   private:
+    /** Fills an outcome's metrics and, for a timeline point, its
+     *  series; both public run() forms adapt to it. */
+    using PointBody = std::function<void(
+        const SweepPoint &point, std::uint64_t seed, SweepOutcome &out)>;
+
+    SweepReport runBody(const std::vector<SweepPoint> &points,
+                        const PointBody &body) const;
+
     Options options_;
 };
-
-// ---------------------------------------------------------------------
-// Timeline sweeps (Figs. 6-7): per-point time series instead of a
-// single metrics rollup.
-// ---------------------------------------------------------------------
-
-struct TimelinePoint
-{
-    std::string label;
-    SystemConfig config;
-    TrafficSpec spec;
-    Cycle total = 0;
-    Cycle bin = 0;
-    Cycle warmup = 0;
-    std::uint64_t seedKey = kSeedKeyFromIndex;
-    bool trace = false; ///< see SweepPoint::trace
-};
-
-struct TimelineOutcome
-{
-    std::size_t index = 0;
-    std::string label;
-    std::uint64_t seed = 0;
-    PointStatus status = PointStatus::kOk;
-    int attempts = 1;
-    std::string error;
-    TimelineResult timeline; ///< empty series when status == kFailed
-    double wallMs = 0.0;
-};
-
-/** Shard timeline captures across the runner's worker pool; same
- *  determinism contract as SweepRunner::run. A point whose body
- *  throws is retried per Options::maxRetries, then recorded failed;
- *  journal/isolate options do not apply to timeline sweeps (their
- *  per-bin series are not checkpointable records) and draw a one-time
- *  warn() if requested. */
-std::vector<TimelineOutcome>
-runTimelines(const SweepRunner &runner,
-             const std::vector<TimelinePoint> &points);
 
 // ---------------------------------------------------------------------
 // Manifests
@@ -295,11 +272,6 @@ void writeSweepManifestCsv(const std::string &path,
  */
 double sweepPointBudgetMs(const SweepRunner::Options &options,
                           std::vector<double> completed_wall_ms);
-
-/** Adapt timeline outcomes (their whole-run rollups) to the manifest
- *  writers. */
-std::vector<SweepOutcome>
-timelineRollups(const std::vector<TimelineOutcome> &outcomes);
 
 } // namespace oenet
 

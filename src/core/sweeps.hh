@@ -1,15 +1,12 @@
 /**
  * @file
- * Shared drivers for the figure-regeneration benches: paired
- * (power-aware vs. baseline) runs, and time-series capture of
- * injection rate / normalized power / rolling latency over a run —
- * the raw series behind Figs. 6 and 7.
+ * Paired (power-aware vs. baseline) runs for the figure-regeneration
+ * benches. Time-series capture (Figs. 6-7) is RunProtocol::bin, in
+ * core/experiment.hh.
  */
 
 #ifndef OENET_CORE_SWEEPS_HH
 #define OENET_CORE_SWEEPS_HH
-
-#include <vector>
 
 #include "core/experiment.hh"
 
@@ -30,21 +27,6 @@ PairedResult runPaired(const SystemConfig &config,
 
 /** Copy of @p config with power-awareness disabled (the baseline). */
 SystemConfig baselineConfig(const SystemConfig &config);
-
-/** Time series sampled every @p bin cycles over one run. */
-struct TimelineResult
-{
-    Cycle bin = 0;
-    std::vector<double> offeredRate;     ///< packets/cycle in each bin
-    std::vector<double> normalizedPower; ///< avg over each bin
-    std::vector<double> avgLatency;      ///< packets ejected in bin
-    RunMetrics metrics;                  ///< whole-run rollup
-};
-
-TimelineResult runTimeline(const SystemConfig &config,
-                           const TrafficSpec &spec, Cycle total,
-                           Cycle bin, Cycle warmup = 0,
-                           const TraceOptions &trace = {});
 
 } // namespace oenet
 

@@ -2,17 +2,22 @@
  * @file
  * Tests for the crash-safety journal: exact outcome round-trips
  * (doubles, counters, escaped labels), CRC rejection of corrupted
- * bytes, torn-tail truncation recovery, header validation, and the
- * truncate-to-valid-prefix reopen contract.
+ * bytes, torn-tail truncation recovery, header validation, the
+ * truncate-to-valid-prefix reopen contract, timeline series records,
+ * and seeded mutation of whole journals.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <fstream>
+#include <set>
 #include <string>
 #include <vector>
 
+#include "common/log.hh"
+#include "common/proc.hh"
+#include "common/rng.hh"
 #include "core/sweep_journal.hh"
 
 using namespace oenet;
@@ -255,4 +260,219 @@ TEST_F(JournalFile, FreshOpenDiscardsOldContents)
     ASSERT_TRUE(l.hasHeader);
     EXPECT_EQ(l.header.baseSeed, 2u);
     EXPECT_EQ(l.outcomes.size(), 1u);
+}
+
+// ---------------------------------------------------------------------
+// Timeline series records, and seeded mutation of whole journals.
+// ---------------------------------------------------------------------
+
+namespace {
+
+SweepOutcome
+timelineOutcome(std::size_t index)
+{
+    SweepOutcome o = sampleOutcome(index);
+    o.series.bin = 5000;
+    o.series.offeredRate = {0.25, 1.0 / 3.0, 0.0};
+    o.series.normalizedPower = {1.0, 0.1 + 1e-17, 2.0 / 3.0};
+    o.series.avgLatency = {12.5, 0.0, 1e300};
+    return o;
+}
+
+/** Tiny sweep mixing timeline points (series) and rollup points. */
+std::vector<SweepPoint>
+mixedSweep()
+{
+    std::vector<SweepPoint> points;
+    for (Cycle bin : {Cycle{500}, Cycle{0}}) {
+        for (double rate : {0.3, 0.7}) {
+            SweepPoint p;
+            p.label = (bin > 0 ? "timeline/rate=" : "rollup/rate=") +
+                      std::to_string(rate);
+            p.config.meshX = 2;
+            p.config.meshY = 2;
+            p.config.clusterSize = 2;
+            p.config.windowCycles = 200;
+            p.spec = TrafficSpec::uniform(rate, 4);
+            p.protocol.warmup = bin > 0 ? 0 : 500;
+            p.protocol.measure = 2000;
+            p.protocol.drainLimit = 4000;
+            p.protocol.bin = bin;
+            points.push_back(std::move(p));
+        }
+    }
+    return points;
+}
+
+std::vector<std::string>
+splitLines(const std::string &bytes)
+{
+    std::vector<std::string> lines;
+    std::size_t pos = 0;
+    while (pos < bytes.size()) {
+        std::size_t nl = bytes.find('\n', pos);
+        std::size_t end = nl == std::string::npos ? bytes.size() : nl + 1;
+        lines.push_back(bytes.substr(pos, end - pos));
+        pos = end;
+    }
+    return lines;
+}
+
+/** One to three seeded damages: byte flips, truncation, a duplicated
+ *  line, two lines swapped. */
+std::string
+mutate(const std::string &bytes, Rng &rng)
+{
+    std::string out = bytes;
+    const int damages = 1 + static_cast<int>(rng.uniformInt(3));
+    for (int d = 0; d < damages && !out.empty(); d++) {
+        switch (rng.uniformInt(4)) {
+          case 0: {
+            std::size_t at = rng.uniformInt(out.size());
+            out[at] = static_cast<char>(
+                out[at] ^ static_cast<char>(1 + rng.uniformInt(255)));
+            break;
+          }
+          case 1:
+            out.resize(rng.uniformInt(out.size()));
+            break;
+          default: {
+            std::vector<std::string> lines = splitLines(out);
+            std::size_t a = rng.uniformInt(lines.size());
+            std::size_t b = rng.uniformInt(lines.size());
+            if (rng.bernoulli(0.5))
+                lines.insert(lines.begin() + static_cast<long>(b),
+                             lines[a]);
+            else
+                std::swap(lines[a], lines[b]);
+            out.clear();
+            for (const std::string &l : lines)
+                out += l;
+            break;
+          }
+        }
+    }
+    return out;
+}
+
+} // namespace
+
+TEST(JournalRecord, SeriesRoundTripsBitExact)
+{
+    SweepOutcome want = timelineOutcome(1);
+    SweepOutcome got;
+    ASSERT_TRUE(SweepJournal::parseRecordLine(
+        SweepJournal::recordLine(want), got));
+    EXPECT_EQ(got.series.bin, want.series.bin);
+    EXPECT_EQ(got.series.offeredRate, want.series.offeredRate);
+    EXPECT_EQ(got.series.normalizedPower, want.series.normalizedPower);
+    EXPECT_EQ(got.series.avgLatency, want.series.avgLatency);
+    EXPECT_EQ(SweepJournal::recordLine(got),
+              SweepJournal::recordLine(want));
+}
+
+TEST(JournalRecord, PointRecordsCarryNoSeriesKey)
+{
+    // Point-sweep records keep the original v1 shape, so journals
+    // written before timelines were journaled still resume.
+    std::string line = SweepJournal::recordLine(sampleOutcome(0));
+    EXPECT_EQ(line.find("series"), std::string::npos);
+    EXPECT_NE(line.find("\"measured_cycles\": 50000}}, \"crc\": \""),
+              std::string::npos);
+    EXPECT_NE(SweepJournal::recordLine(timelineOutcome(0)).find(
+                  "\"series\": {\"bin\": 5000, \"offered_rate\": [0.25, "),
+              std::string::npos);
+}
+
+TEST(JournalRecord, MalformedSeriesIsRejected)
+{
+    SweepOutcome o = timelineOutcome(0);
+    o.series.avgLatency.pop_back(); // arrays of unequal length
+    SweepOutcome got;
+    EXPECT_FALSE(SweepJournal::parseRecordLine(
+        SweepJournal::recordLine(o), got));
+    EXPECT_FALSE(SweepJournal::parseRecordLine("", got));
+    EXPECT_FALSE(SweepJournal::parseRecordLine("{\"r\": {}}\n", got));
+}
+
+TEST_F(JournalFile, SeededMutationsLoadAValidPrefix)
+{
+    // Journals with and without series, damaged by a seeded xoshiro
+    // stream. load() must return a prefix of whole lines whose records
+    // are originals, bit for bit — never a damaged record, never a
+    // crash or an out-of-bounds read (the sanitizer job runs this).
+    path_ = scratchPath("mutation");
+    std::string bytes =
+        SweepJournal::headerLine(SweepJournal::Header{3, 6});
+    std::set<std::string> originals;
+    for (std::size_t i = 0; i < 6; i++) {
+        std::string line = SweepJournal::recordLine(
+            i % 2 == 0 ? timelineOutcome(i) : sampleOutcome(i));
+        originals.insert(line);
+        bytes += line;
+    }
+
+    Rng rng(0x6a6f75726e616cull);
+    for (int iter = 0; iter < 400; iter++) {
+        const std::string mutated = mutate(bytes, rng);
+        spit(path_, mutated);
+        SweepJournal::Loaded l = SweepJournal::load(path_);
+        SCOPED_TRACE("iteration " + std::to_string(iter));
+        ASSERT_LE(l.validBytes, mutated.size());
+        if (l.validBytes > 0) {
+            EXPECT_EQ(mutated[l.validBytes - 1], '\n');
+        }
+        EXPECT_EQ(splitLines(mutated.substr(0, l.validBytes)).size(),
+                  l.hasHeader ? 1 + l.outcomes.size() : 0);
+        if (l.hasHeader) {
+            EXPECT_EQ(l.header.baseSeed, 3u);
+            EXPECT_EQ(l.header.points, 6u);
+        }
+        for (const SweepOutcome &o : l.outcomes)
+            EXPECT_EQ(originals.count(SweepJournal::recordLine(o)), 1u);
+    }
+}
+
+TEST_F(JournalFile, SeededMutationsResumeExactlyOrAreRefused)
+{
+    // The runner's side of the contract: resuming from a damaged
+    // journal either reproduces the uninterrupted manifest or dies in
+    // fatal() (duplicated records). Each resume runs in a forked child
+    // so a fatal() exit is observable.
+    path_ = scratchPath("mutation_resume");
+    std::remove(path_.c_str());
+    const std::vector<SweepPoint> points = mixedSweep();
+    SweepRunner::Options opts;
+    opts.jobs = 1;
+    opts.journalPath = path_;
+    SweepReport full = SweepRunner(opts).run(points);
+    ASSERT_TRUE(full.allOk());
+    const std::string want = sweepManifestJson("m", 1, full.outcomes);
+    const std::string journal = slurp(path_);
+    ASSERT_NE(journal.find("\"series\""), std::string::npos);
+
+    opts.resume = true;
+    Rng rng(0x726573756d65ull);
+    int refused = 0;
+    for (int iter = 0; iter < 40; iter++) {
+        spit(path_, mutate(journal, rng));
+        ChildResult r = runInChild(
+            [&](int fd) {
+                setQuiet(true);
+                std::freopen("/dev/null", "w", stderr);
+                SweepReport resumed = SweepRunner(opts).run(points);
+                std::string got =
+                    sweepManifestJson("m", 1, resumed.outcomes);
+                writeAll(fd, got.data(), got.size());
+            },
+            0.0);
+        SCOPED_TRACE("iteration " + std::to_string(iter));
+        if (r.status == ChildResult::Status::kExited && r.code == 1) {
+            refused++;
+            continue;
+        }
+        ASSERT_EQ(r.status, ChildResult::Status::kOk) << r.describe();
+        EXPECT_EQ(r.payload, want);
+    }
+    EXPECT_LT(refused, 40) << "most damage is recoverable";
 }

@@ -2,7 +2,8 @@
  * @file
  * Tests for the parallel sweep-execution engine: the determinism
  * contract (identical manifests at any thread count), seed derivation
- * and seedKey grouping, custom point bodies, progress reporting, and
+ * and seedKey grouping, custom point bodies, progress reporting,
+ * timeline points (journal, resume and isolation included), and
  * manifest emission.
  */
 
@@ -11,6 +12,7 @@
 #include <atomic>
 #include <csignal>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <set>
 #include <sstream>
@@ -194,40 +196,120 @@ TEST(SweepRunner, EmptySweep)
     EXPECT_EQ(report.pointWallMs.count(), 0u);
 }
 
-TEST(SweepRunner, TimelinesDeterministicAcrossThreadCounts)
+namespace {
+
+/** Timeline points: ordinary SweepPoints whose protocol sets a bin. */
+std::vector<SweepPoint>
+timelineSweep()
 {
-    std::vector<TimelinePoint> points;
+    RunProtocol protocol;
+    protocol.warmup = 0;
+    protocol.measure = 4000;
+    protocol.bin = 1000;
+
+    std::vector<SweepPoint> points;
     for (double rate : {0.2, 0.5, 0.8}) {
-        TimelinePoint p;
+        SweepPoint p;
         p.label = "rate=" + formatDouble(rate, 1);
         p.config = smallConfig();
         p.spec = TrafficSpec::uniform(rate, 4);
-        p.total = 4000;
-        p.bin = 1000;
+        p.protocol = protocol;
         points.push_back(std::move(p));
     }
+    return points;
+}
 
+/** Every bin of every series equal bit for bit (memcmp, so -0.0 vs
+ *  0.0 or differing NaN payloads would count as different). */
+void
+expectSeriesBitEqual(const TimelineSeries &a, const TimelineSeries &b)
+{
+    EXPECT_EQ(a.bin, b.bin);
+    for (auto member : {&TimelineSeries::offeredRate,
+                        &TimelineSeries::normalizedPower,
+                        &TimelineSeries::avgLatency}) {
+        const std::vector<double> &x = a.*member;
+        const std::vector<double> &y = b.*member;
+        ASSERT_EQ(x.size(), y.size());
+        for (std::size_t i = 0; i < x.size(); i++)
+            EXPECT_EQ(std::memcmp(&x[i], &y[i], sizeof(double)), 0)
+                << "bin " << i;
+    }
+}
+
+} // namespace
+
+TEST(SweepRunner, TimelinesDeterministicAcrossThreadCounts)
+{
+    std::vector<SweepPoint> points = timelineSweep();
     SweepRunner::Options serialOpts, parallelOpts;
     serialOpts.jobs = 1;
     parallelOpts.jobs = 4;
-    auto serial = runTimelines(SweepRunner(serialOpts), points);
-    auto parallel = runTimelines(SweepRunner(parallelOpts), points);
+    SweepReport serial = SweepRunner(serialOpts).run(points);
+    SweepReport parallel = SweepRunner(parallelOpts).run(points);
 
-    ASSERT_EQ(serial.size(), parallel.size());
-    for (std::size_t i = 0; i < serial.size(); i++) {
-        EXPECT_EQ(serial[i].seed, parallel[i].seed);
-        ASSERT_EQ(serial[i].timeline.normalizedPower.size(),
-                  parallel[i].timeline.normalizedPower.size());
-        for (std::size_t b = 0;
-             b < serial[i].timeline.normalizedPower.size(); b++) {
-            EXPECT_DOUBLE_EQ(serial[i].timeline.normalizedPower[b],
-                             parallel[i].timeline.normalizedPower[b]);
-        }
+    ASSERT_EQ(serial.outcomes.size(), parallel.outcomes.size());
+    for (std::size_t i = 0; i < serial.outcomes.size(); i++) {
+        EXPECT_EQ(serial.outcomes[i].seed, parallel.outcomes[i].seed);
+        EXPECT_EQ(serial.outcomes[i].series.offeredRate.size(), 4u);
+        expectSeriesBitEqual(serial.outcomes[i].series,
+                             parallel.outcomes[i].series);
     }
+    EXPECT_EQ(sweepManifestJson("t", 1, serial.outcomes),
+              sweepManifestJson("t", 1, parallel.outcomes));
+}
 
-    std::string a = sweepManifestJson("t", 1, timelineRollups(serial));
-    std::string b = sweepManifestJson("t", 1, timelineRollups(parallel));
-    EXPECT_EQ(a, b);
+TEST(SweepRunner, BinnedPointMatchesRunTimeline)
+{
+    // The runner's timeline point is exactly a runTimeline call with
+    // the derived seed, and a point sweep carries no series.
+    std::vector<SweepPoint> points = timelineSweep();
+    SweepReport report = SweepRunner().run(points);
+    for (std::size_t i = 0; i < points.size(); i++) {
+        TrafficSpec spec = points[i].spec;
+        spec.seed = report.outcomes[i].seed;
+        TimelineResult r =
+            runTimeline(points[i].config, spec, 4000, 1000);
+        expectSeriesBitEqual(report.outcomes[i].series, r);
+        EXPECT_EQ(std::memcmp(&report.outcomes[i].metrics.avgLatency,
+                              &r.metrics.avgLatency, sizeof(double)),
+                  0);
+    }
+    SweepReport plain = runAt(1);
+    EXPECT_EQ(plain.outcomes[0].series.bin, 0u);
+    EXPECT_TRUE(plain.outcomes[0].series.offeredRate.empty());
+}
+
+TEST(SweepRunner, TimelineFaultSeedFollowsTrafficSeed)
+{
+    // runPoint's rule, now shared by timelines: an unset fault seed is
+    // deriveStreamSeed(traffic seed, 0x0fa117), the value runExperiment
+    // has always used. Two faulted timeline points with different
+    // traffic seeds must each match a run given that seed explicitly.
+    std::vector<SweepPoint> points = timelineSweep();
+    points.resize(2);
+    for (SweepPoint &p : points) {
+        p.config.fault.enabled = true;
+        p.config.fault.seed = 0;
+        p.config.fault.berFloor = 1e-3;
+    }
+    SweepReport report = SweepRunner().run(points);
+    ASSERT_TRUE(report.allOk());
+    ASSERT_NE(report.outcomes[0].seed, report.outcomes[1].seed);
+    for (std::size_t i = 0; i < points.size(); i++) {
+        const SweepOutcome &o = report.outcomes[i];
+        EXPECT_GT(o.metrics.flitsCorrupted, 0u) << "faults must fire";
+        SystemConfig explicitSeed = points[i].config;
+        explicitSeed.fault.seed = deriveStreamSeed(o.seed, 0x0fa117u);
+        TrafficSpec spec = points[i].spec;
+        spec.seed = o.seed;
+        TimelineResult r = runTimeline(explicitSeed, spec, 4000, 1000);
+        SweepOutcome want = o;
+        want.metrics = r.metrics;
+        want.series = r;
+        EXPECT_EQ(SweepJournal::recordLine(o),
+                  SweepJournal::recordLine(want));
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -558,6 +640,61 @@ TEST(SweepJournalResume, FailedOutcomesReplayAsFailed)
     EXPECT_EQ(sweepManifestJson("t", 5, first.outcomes),
               sweepManifestJson("t", 5, second.outcomes));
     std::remove(path.c_str());
+}
+
+TEST(SweepJournalResume, TruncatedTimelineJournalResumesBitExact)
+{
+    std::string path = "sweep_runner_test_timeline.jsonl";
+    std::remove(path.c_str());
+    std::vector<SweepPoint> points = timelineSweep();
+
+    SweepRunner::Options plain = fastRetryOpts(2);
+    SweepReport uninterrupted = SweepRunner(plain).run(points);
+    ASSERT_TRUE(uninterrupted.allOk());
+
+    SweepRunner::Options journaled = fastRetryOpts(2);
+    journaled.journalPath = path;
+    SweepRunner(journaled).run(points);
+
+    // Keep the header and one record, as a kill after one point would.
+    {
+        std::ifstream in(path, std::ios::binary);
+        std::string all((std::istreambuf_iterator<char>(in)),
+                        std::istreambuf_iterator<char>());
+        std::size_t second = all.find('\n', all.find('\n') + 1);
+        ASSERT_NE(second, std::string::npos);
+        std::ofstream out(path, std::ios::binary | std::ios::trunc);
+        out.write(all.data(), static_cast<std::streamsize>(second + 1));
+    }
+
+    journaled.resume = true;
+    SweepReport resumed = SweepRunner(journaled).run(points);
+    EXPECT_EQ(resumed.resumedPoints, 1u);
+    ASSERT_EQ(resumed.outcomes.size(), points.size());
+    for (std::size_t i = 0; i < points.size(); i++) {
+        EXPECT_FALSE(resumed.outcomes[i].series.offeredRate.empty());
+        expectSeriesBitEqual(uninterrupted.outcomes[i].series,
+                             resumed.outcomes[i].series);
+    }
+    EXPECT_EQ(sweepManifestJson("t", 1, uninterrupted.outcomes),
+              sweepManifestJson("t", 1, resumed.outcomes));
+    std::remove(path.c_str());
+}
+
+TEST(SweepRobustness, IsolatedTimelinesMatchInProcess)
+{
+    std::vector<SweepPoint> points = timelineSweep();
+    SweepRunner::Options isolated = fastRetryOpts(2);
+    isolated.isolate = true;
+    SweepReport a = SweepRunner(fastRetryOpts(2)).run(points);
+    SweepReport b = SweepRunner(isolated).run(points);
+    ASSERT_TRUE(b.allOk());
+    for (std::size_t i = 0; i < points.size(); i++) {
+        EXPECT_FALSE(b.outcomes[i].series.offeredRate.empty());
+        expectSeriesBitEqual(a.outcomes[i].series, b.outcomes[i].series);
+    }
+    EXPECT_EQ(sweepManifestJson("t", 1, a.outcomes),
+              sweepManifestJson("t", 1, b.outcomes));
 }
 
 TEST(SweepJournalResumeDeath, ResumeWithoutJournalIsFatal)
