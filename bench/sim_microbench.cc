@@ -15,7 +15,10 @@
  * the idle-elision win within a single run (machine-independent);
  * perf_compare.py --expect-ratio asserts it stays >= 3x. The
  * BM_PowerAccountingDirect / BM_PowerAccountingLedger pair does the
- * same for the SoA power ledger (>= 1.3x with leakage + thermal on).
+ * same for the SoA power ledger (>= 1.3x with leakage + thermal on),
+ * and BM_LoadedRouterTick / BM_SparseRouterTick for the router's work
+ * masks (>= 2.7x: a mostly idle 12-port router costs what its busy
+ * ports cost, not what its radix costs).
  */
 
 #include <benchmark/benchmark.h>
@@ -220,6 +223,120 @@ BM_LoadedRouterTick(benchmark::State &state)
     }
 }
 BENCHMARK(BM_LoadedRouterTick);
+
+// The fig7 router shape: 12 ports (8 injection + 4 direction, cluster
+// 8) of which only two direction inputs carry traffic. One stream
+// flows freely; the other feeds an output whose downstream returns a
+// credit only every 8th cycle, so its wormhole sits buffered and bids
+// for the switch on cycles it cannot win. The 8 injection inputs are
+// wired but idle. Per-tick cost here should track the two busy ports,
+// not the radix: CI asserts BM_LoadedRouterTick (four busy ports on a
+// 6-port router) stays a fixed multiple of this one.
+void
+BM_SparseRouterTick(benchmark::State &state)
+{
+    constexpr int kCluster = 8;
+    constexpr int kVcDepth = 8; // 16 deep / 2 VCs
+    constexpr Cycle kStarvedPeriod = 8;
+    MeshTopology mesh(3, 3, kCluster);
+    BitrateLevelTable levels = BitrateLevelTable::linear(3.3, 10.0, 6);
+    Router::Params rp;
+    rp.numVcs = 2;
+    rp.bufferDepthPerPort = 16;
+    int center = mesh.routerAt(1, 1);
+    Router router("r0", center, mesh, rp);
+
+    struct Probe final : CreditSink
+    {
+        int returned[12][2] = {};
+        void returnCredit(int port, int vc, Cycle) override
+        {
+            returned[port][vc]++;
+        }
+    } probe;
+
+    int ports = mesh.portsPerRouter();
+    // Links sit at the lowest level of a 3.3-10 Gb/s DVS table (a
+    // third of a flit per cycle), where power-aware links idle.
+    OpticalLink::Params lp;
+    lp.initialLevel = 0;
+    std::vector<std::unique_ptr<OpticalLink>> ins, outs;
+    for (int p = 0; p < ports; p++) {
+        ins.push_back(std::make_unique<OpticalLink>(
+            "in" + std::to_string(p), LinkKind::kInterRouter, levels,
+            lp));
+        outs.push_back(std::make_unique<OpticalLink>(
+            "out" + std::to_string(p), LinkKind::kInterRouter, levels,
+            lp));
+        router.connectInput(p, ins[p].get(), &probe, p);
+        router.connectOutput(p, outs[p].get(), kVcDepth);
+    }
+
+    // Two direction inputs, each streaming 48-flit packets (fig7's
+    // size) to one neighbor rack: east flows, south is credit-starved.
+    const int busy[2] = {kCluster, kCluster + 1};
+    const NodeId dst[2] = {mesh.nodeAt(mesh.routerAt(2, 1), 0),
+                           mesh.nodeAt(mesh.routerAt(1, 2), 0)};
+    RouteOption route[kMaxRouteCandidates];
+    mesh.routeCandidates(RoutingAlgo::kXY, center, dst[0], route);
+    const int flowing = route[0].port.value();
+    mesh.routeCandidates(RoutingAlgo::kXY, center, dst[1], route);
+    const int starved = route[0].port.value();
+    struct Feeder
+    {
+        std::vector<Flit> flits;
+        std::size_t next = 0;
+        int sent[2] = {};
+    };
+    Feeder feeders[2];
+    PacketId id = 1;
+    std::vector<Flit> pkt;
+    for (int i = 0; i < 2; i++) {
+        for (int k = 0; k < 4; k++) {
+            pkt.clear();
+            flitizePacket(pkt, id++, 0, dst[i], 48, 0);
+            for (Flit &f : pkt) {
+                f.vc = static_cast<std::uint8_t>(k & 1);
+                feeders[i].flits.push_back(f);
+            }
+        }
+    }
+
+    std::vector<int> owed; // starved output's unreturned credits (VCs)
+    Cycle t = 0;
+    for (auto _ : state) {
+        router.tick(t);
+        for (int i = 0; i < 2; i++) {
+            int p = busy[i];
+            Feeder &fd = feeders[i];
+            const Flit &f = fd.flits[fd.next];
+            int vc = f.vc;
+            if (ins[static_cast<std::size_t>(p)]->canAccept(t) &&
+                fd.sent[vc] - probe.returned[p][vc] < kVcDepth) {
+                ins[static_cast<std::size_t>(p)]->accept(t, f);
+                fd.sent[vc]++;
+                fd.next = (fd.next + 1) % fd.flits.size();
+            }
+        }
+        // Downstream: only the two routed outputs ever carry flits.
+        for (int q : {flowing, starved}) {
+            auto &out = outs[static_cast<std::size_t>(q)];
+            while (out->hasArrival(t)) {
+                Flit f = out->popArrival(t);
+                if (q == starved)
+                    owed.push_back(f.vc);
+                else
+                    router.returnCredit(q, f.vc, t);
+            }
+        }
+        if (t % kStarvedPeriod == 0 && !owed.empty()) {
+            router.returnCredit(starved, owed.front(), t);
+            owed.erase(owed.begin());
+        }
+        t++;
+    }
+}
+BENCHMARK(BM_SparseRouterTick);
 
 // The boundary-proxy mechanism over a 4-cycle window carrying one
 // delivery — roughly a boundary edge's duty cycle in the loaded fig7

@@ -282,6 +282,12 @@ PoeSystem::auditConservation(Cycle settle_limit)
         kernel_.step();
     }
 
+    // The routers' incremental work masks must match their flat
+    // state; a stale mask is a simulator bug, not a book imbalance,
+    // so this panics instead of counting.
+    for (int r = 0; r < network_->numRouters(); r++)
+        network_->router(r).auditMasks();
+
     std::uint64_t violations = 0;
 
     // Flit conservation (lifetime counters; valid settled or not).

@@ -90,6 +90,9 @@ class PoeSystem final : public PacketSink, public Ticking
      * output VC free and back at its downstream depth, each node
      * injection VC back at capacity, no pending credits anywhere.
      * Each violation is warn()ed (never an abort) and counted.
+     * Before the books, every router's incremental work masks are
+     * checked against its flat state (Router::auditMasks); a stale
+     * mask is a simulator bug and panics.
      * Detach any trace sink first; the settle cycles emit no events.
      * @return the number of violations (0 = books balance).
      */

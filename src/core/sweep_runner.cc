@@ -61,6 +61,18 @@ jsonString(const std::string &s)
     return out;
 }
 
+/** @p o's journal encoding minus what a re-run may legitimately change
+ *  (wall time, attempt count, error text): two outcomes with equal keys
+ *  agree bit for bit on status, metrics and series. */
+std::string
+replayKey(SweepOutcome o)
+{
+    o.wallMs = 0.0;
+    o.attempts = 1;
+    o.error.clear();
+    return SweepJournal::recordLine(o);
+}
+
 /** The manifest's metrics fields, in one place so the JSON and CSV
  *  writers cannot drift apart. */
 std::vector<std::pair<const char *, double>>
@@ -243,6 +255,9 @@ SweepRunner::runBody(const std::vector<SweepPoint> &points,
     if (options_.resume && options_.journalPath.empty())
         fatal("sweep: --resume requires a --journal path");
 
+    // replayed[i]: point i's record came from the journal. Such points
+    // are skipped, except a traced one: its trace exists only as a side
+    // effect of running it, so it re-runs and must reproduce its record.
     std::vector<char> replayed(points.size(), 0);
     SweepJournal journal;
     if (!options_.journalPath.empty()) {
@@ -335,9 +350,9 @@ SweepRunner::runBody(const std::vector<SweepPoint> &points,
     parallelFor(
         points.size(), report.jobs,
         [&](std::size_t i, int worker) {
-            if (replayed[i])
-                return;
             const SweepPoint &point = points[i];
+            if (replayed[i] && !(point.trace && options_.traceFactory))
+                return;
             std::uint64_t seed = pointSeed(point, i);
 
             SweepPoint staged = point;
@@ -400,6 +415,17 @@ SweepRunner::runBody(const std::vector<SweepPoint> &points,
                 totalWallMs);
 
             std::lock_guard<std::mutex> lock(progressMutex);
+            if (replayed[i]) {
+                // Already journaled (and counted as resumed): check the
+                // re-run against the record instead of appending it twice.
+                if (replayKey(out) != replayKey(report.outcomes[i]))
+                    fatal("sweep journal '%s': traced point %zu '%s' "
+                          "re-ran to results that differ from its "
+                          "journal record -- refusing to mix them",
+                          options_.journalPath.c_str(), i,
+                          point.label.c_str());
+                return;
+            }
             if (out.ok())
                 completedWallMs.push_back(totalWallMs);
             report.outcomes[i] = std::move(out);

@@ -38,7 +38,10 @@
  *    finishes (core/sweep_journal.hh); Options::resume replays the
  *    valid records, skips those points, and — because seeds derive
  *    from (baseSeed, seedKey), never scheduling — the final manifest
- *    is byte-identical to an uninterrupted run at any --jobs;
+ *    is byte-identical to an uninterrupted run at any --jobs. A
+ *    journaled trace-marked point still re-runs (its trace is only
+ *    written by running it); its record is not appended again, and
+ *    a re-run that differs from the record by one bit is fatal;
  *  - watchdog + retry: a per-point wall-clock budget (absolute
  *    timeoutMs, or timeoutFactor x the running median of completed
  *    points); a point that exceeds it or dies is retried with bounded
@@ -177,9 +180,10 @@ class SweepRunner
 
         /** Append-only checkpoint journal; empty disables. */
         std::string journalPath;
-        /** Replay valid journal records and skip those points. The
-         *  journal header must match (baseSeed, point count) or the
-         *  runner refuses with an actionable fatal(). */
+        /** Replay valid journal records and skip those points (a
+         *  trace-marked point re-runs and is checked against its
+         *  record). The journal header must match (baseSeed, point
+         *  count) or the runner refuses with an actionable fatal(). */
         bool resume = false;
         /** Run each point in a forked child (fork/pipe isolation). */
         bool isolate = false;

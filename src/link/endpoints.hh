@@ -7,6 +7,9 @@
  * credit through this interface. Implementations apply the credit with a
  * one-cycle delay so results do not depend on tick ordering.
  *
+ * ArrivalFlag: the receiver's per-port "arrival due" bit, raised by
+ * whatever feeds the port so the receiver drains only ports with work.
+ *
  * OccupancyProvider: the power-aware policy needs the downstream input
  * buffer utilization B_u (Section 3.3). Receivers expose the
  * time-integral of their buffer occupancy so the controller can compute
@@ -17,9 +20,40 @@
 #ifndef OENET_LINK_ENDPOINTS_HH
 #define OENET_LINK_ENDPOINTS_HH
 
+#include <cstdint>
+
 #include "common/types.hh"
 
 namespace oenet {
+
+/**
+ * One input port's "arrival due" bit in its receiver's port mask. The
+ * link or boundary channel feeding the port raises it, on the
+ * receiver's own thread, whenever it makes a flit available to drain
+ * there; the receiver walks only raised ports and clears a bit once
+ * the port has nothing left in flight. Default-constructed it is
+ * unattached and raise() does nothing, so a link or channel with no
+ * router behind it (node ejection, unit tests) keeps working.
+ */
+class ArrivalFlag
+{
+  public:
+    ArrivalFlag() = default;
+    ArrivalFlag(std::uint64_t *mask, int bit)
+        : mask_(mask), bit_(std::uint64_t{1} << bit)
+    {
+    }
+
+    void raise() const
+    {
+        if (mask_ != nullptr)
+            *mask_ |= bit_;
+    }
+
+  private:
+    std::uint64_t *mask_ = nullptr;
+    std::uint64_t bit_ = 0;
+};
 
 class CreditSink
 {

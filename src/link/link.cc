@@ -386,11 +386,15 @@ OpticalLink::accept(Cycle now, const Flit &flit)
 
     // Wake edge: a parked receiver must tick when this flit lands
     // (even a corrupt copy — the receiver's poll at `arrives` is what
-    // drives the CRC/NACK replay at its exact cycle).
+    // drives the CRC/NACK replay at its exact cycle). Only a router
+    // polling this link directly attaches an arrival flag, and such a
+    // link never crosses shards, so raising it here is a same-thread
+    // write.
     if (receiver_)
         receiver_->wakeAt(arrives > receiverWakeLead_
                               ? arrives - receiverWakeLead_
                               : 0);
+    arrivalFlag_.raise();
 }
 
 Cycle

@@ -50,6 +50,7 @@
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "common/units.hh"
+#include "link/endpoints.hh"
 #include "phy/bitrate_levels.hh"
 #include "phy/laser_source.hh"
 #include "phy/link_power.hh"
@@ -187,10 +188,17 @@ class OpticalLink
     /**
      * Attach the receiving component (null detaches). accept() wakes
      * it at the flit's arrival cycle, so a receiver parked by the
-     * idle-elision scheduler never misses a delivery. Wired by
-     * Router::connectInput / Node::connectEjection.
+     * idle-elision scheduler never misses a delivery, and raises
+     * @p arrival, the receiver's arrival-due bit for this input (a
+     * router drains only ports whose bit is up). Both must outlive
+     * every later accept(). Wired by Router::connectInput /
+     * Node::connectEjection.
      */
-    void setReceiver(Ticking *receiver) { receiver_ = receiver; }
+    void setReceiver(Ticking *receiver, ArrivalFlag arrival = {})
+    {
+        receiver_ = receiver;
+        arrivalFlag_ = arrival;
+    }
 
     /**
      * Wake the receiver @p lead cycles *before* each event instead of
@@ -444,8 +452,9 @@ class OpticalLink
     int transitionFrom_ = 0;
     const char *transitionType_ = nullptr;
 
-    // Receiver wake edge (idle elision).
+    // Receiver wake edge (idle elision) and arrival-due bit.
     Ticking *receiver_ = nullptr;
+    ArrivalFlag arrivalFlag_;
     Cycle receiverWakeLead_ = 0;
 
     // Faults / reliability.

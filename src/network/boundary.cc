@@ -14,6 +14,11 @@ BoundaryChannel::swapBuffers()
     if (credHead_ != credReadyEnd_)
         panic("BoundaryChannel %s: %u ready credits not drained",
               link_->name().c_str(), credReadyEnd_ - credHead_);
+    // Both rings are drained to their old ready ends (checked above);
+    // the producers bound their overflow checks by these, never by
+    // the live heads the consumers advance during the next phase.
+    publishedHead_ = head_;
+    publishedCredHead_ = credHead_;
     readyEnd_ = pendEnd_;
     credReadyEnd_ = credPendEnd_;
     if (pendingFailed_) {

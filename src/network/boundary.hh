@@ -96,20 +96,38 @@ class BoundaryChannel final : public CreditSink
     void setDirect() { direct_ = true; }
     bool direct() const { return direct_; }
 
+    /**
+     * The destination router's arrival-due bit for this edge's input
+     * port. It is raised only on the consumer's thread: by
+     * stageArrival in direct mode (the shuttle shares the router's
+     * shard) and by takeDeliveryEdge in the destination pre-pass
+     * otherwise. Unset (bare channels in tests) it does nothing; set,
+     * the router must outlive the channel's traffic. Configuration-
+     * time only.
+     */
+    void setArrivalFlag(ArrivalFlag flag) { arrivalFlag_ = flag; }
+
     // --- producer side: source shard's thread, parallel phase ---
 
     /** Stage a flit for delivery at the start of the next cycle
      *  (published immediately in direct mode). */
     void stageArrival(const Flit &flit)
     {
-        if (pendEnd_ - head_ >= kArrivalCap)
+        // The overflow bound may not read head_ across shards: in
+        // cross-shard mode the consumer advances it concurrently, so
+        // count from where it stood at the last publish instead (a
+        // superset of the live range; the capacity covers it).
+        std::uint32_t floor = direct_ ? head_ : publishedHead_;
+        if (pendEnd_ - floor >= kArrivalCap)
             panic("BoundaryChannel %s: arrival ring overflow",
                   link_->name().c_str());
         arrivals_[pendEnd_++ & kArrivalMask] = flit;
-        if (direct_)
+        if (direct_) {
             readyEnd_ = pendEnd_;
-        else
+            arrivalFlag_.raise();
+        } else {
             arrivalsDirty_ = true;
+        }
     }
 
     /** Stage the link's hard failure (staged once, by the shuttle). */
@@ -148,7 +166,7 @@ class BoundaryChannel final : public CreditSink
             upstream_->returnCredit(srcPort_, vc, now);
             return;
         }
-        if (credPendEnd_ - credHead_ >= kCreditCap)
+        if (credPendEnd_ - publishedCredHead_ >= kCreditCap)
             panic("BoundaryChannel %s: credit ring overflow",
                   link_->name().c_str());
         credits_[credPendEnd_++ & kCreditMask] = StagedCredit{vc, now};
@@ -171,11 +189,14 @@ class BoundaryChannel final : public CreditSink
 
     /** True if the ready side carries anything the destination router
      *  must tick for (flits, or a just-propagated failure); clears the
-     *  failure edge. The caller wakes the router at the current
-     *  cycle. */
+     *  failure edge and raises the arrival flag when flits are ready.
+     *  The caller wakes the router at the current cycle. */
     bool takeDeliveryEdge()
     {
-        bool any = hasReadyArrival() || failEdge_;
+        bool flits = hasReadyArrival();
+        if (flits)
+            arrivalFlag_.raise();
+        bool any = flits || failEdge_;
         failEdge_ = false;
         return any;
     }
@@ -230,6 +251,7 @@ class BoundaryChannel final : public CreditSink
     CreditSink *upstream_;
     int srcPort_;
     bool direct_ = false;
+    ArrivalFlag arrivalFlag_;
 
     // Flit direction (written by producer, drained by consumer).
     // Monotonic indices, masked on access: head_ <= readyEnd_ <= pendEnd_.
@@ -237,6 +259,7 @@ class BoundaryChannel final : public CreditSink
     std::uint32_t head_ = 0;
     std::uint32_t readyEnd_ = 0;
     std::uint32_t pendEnd_ = 0;
+    std::uint32_t publishedHead_ = 0; ///< head_ at the last publish
     bool arrivalsDirty_ = false;
     bool pendingFailed_ = false;
 
@@ -245,6 +268,7 @@ class BoundaryChannel final : public CreditSink
     std::uint32_t credHead_ = 0;
     std::uint32_t credReadyEnd_ = 0;
     std::uint32_t credPendEnd_ = 0;
+    std::uint32_t publishedCredHead_ = 0; ///< credHead_ at last publish
     bool creditsDirty_ = false;
 
     // Failure propagation (published by swapBuffers; direct mode sets

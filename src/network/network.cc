@@ -178,7 +178,9 @@ Network::configureSharding(Kernel &kernel, int shards,
     }
 
     // Pre-pass (each shard's thread, before its tick pass): wake
-    // routers that have boundary deliveries, forward ready credits.
+    // routers that have boundary deliveries (takeDeliveryEdge also
+    // raises the input's arrival-due bit, on the router's own thread),
+    // forward ready credits.
     for (int d = 1; d <= shards; d++) {
         auto &ingress = domainIngress_[static_cast<std::size_t>(d)];
         auto &egress = domainEgress_[static_cast<std::size_t>(d)];
@@ -278,8 +280,10 @@ Network::setFaultInjector(FaultInjector *faults)
         links_[i]->setFault(faults, static_cast<int>(i));
     Cycle orphan =
         faults != nullptr ? faults->params().orphanTimeoutCycles : 0;
-    for (auto &r : routers_)
+    for (auto &r : routers_) {
         r->setOrphanTimeout(orphan);
+        r->setFaultsAttached(faults != nullptr);
+    }
     if (faults != nullptr && ledgerActive_) {
         // Scheduled faults are processed at exact cycles inside each
         // link's lazy advance, and fault-attached links are advanced

@@ -1,7 +1,5 @@
 #include "router/allocators.hh"
 
-#include <bit>
-
 #include "common/log.hh"
 
 namespace oenet {
@@ -21,26 +19,10 @@ RoundRobinArbiter::resize(int size)
     next_ = 0;
 }
 
-int
-RoundRobinArbiter::peek(std::uint64_t requests) const
+void
+RoundRobinArbiter::badRequests() const
 {
-    if (requests == 0)
-        return -1;
-    if (size_ < 64 && (requests >> size_) != 0)
-        panic("RoundRobinArbiter: request bits beyond size %d", size_);
-    std::uint64_t rotated = requests >> next_;
-    if (rotated != 0)
-        return next_ + std::countr_zero(rotated);
-    return std::countr_zero(requests);
-}
-
-int
-RoundRobinArbiter::pick(std::uint64_t requests)
-{
-    int winner = peek(requests);
-    if (winner >= 0)
-        next_ = (winner + 1) % size_;
-    return winner;
+    panic("RoundRobinArbiter: request bits beyond size %d", size_);
 }
 
 } // namespace oenet

@@ -16,6 +16,7 @@
 #ifndef OENET_ROUTER_ALLOCATORS_HH
 #define OENET_ROUTER_ALLOCATORS_HH
 
+#include <bit>
 #include <cstdint>
 
 namespace oenet {
@@ -35,15 +36,34 @@ class RoundRobinArbiter
 
     /** @return the winning index among set bits of @p requests, or -1.
      *  Bits at or above size() must be clear. The winner becomes
-     *  lowest priority for the next pick. */
-    int pick(std::uint64_t requests);
+     *  lowest priority for the next pick. Inline: the router's
+     *  allocators call it on every cycle with a bid. */
+    int pick(std::uint64_t requests)
+    {
+        int winner = peek(requests);
+        if (winner >= 0)
+            next_ = winner + 1 == size_ ? 0 : winner + 1;
+        return winner;
+    }
 
     /** Pick without rotating priority (pure query). */
-    int peek(std::uint64_t requests) const;
+    int peek(std::uint64_t requests) const
+    {
+        if (requests == 0)
+            return -1;
+        if (size_ < 64 && (requests >> size_) != 0)
+            badRequests();
+        std::uint64_t rotated = requests >> next_;
+        if (rotated != 0)
+            return next_ + std::countr_zero(rotated);
+        return std::countr_zero(requests);
+    }
 
     int size() const { return size_; }
 
   private:
+    [[noreturn]] void badRequests() const;
+
     int size_;
     int next_ = 0; ///< highest-priority index for the next pick
 };

@@ -50,7 +50,7 @@ Router::Router(std::string name, int router_id, const Topology &topo,
     saArb_.resize(nports);
     vaArb_.resize(nports);
     saInputArb_.resize(nports);
-    saCandidateVc_.assign(nports, kInvalid);
+    vcBits_ = params_.numVcs >= 64 ? ~0ull : (1ull << params_.numVcs) - 1;
 
     for (int p = 0; p < ports; p++) {
         saArb_[static_cast<std::size_t>(p)].resize(ports);
@@ -70,8 +70,10 @@ Router::connectInput(int port, OpticalLink *link, CreditSink *upstream,
     in.upstream = upstream;
     in.upstreamPort = upstream_port;
     inDrainLink_[static_cast<std::size_t>(port)] = link;
-    if (link != nullptr)
-        link->setReceiver(this); // arrival wake edge (idle elision)
+    if (link != nullptr) {
+        // Arrival wake edge (idle elision) plus this port's due bit.
+        link->setReceiver(this, ArrivalFlag(&arrivalDue_, port));
+    }
 }
 
 void
@@ -86,6 +88,20 @@ Router::connectInputBoundary(int port, OpticalLink *link,
     in.upstream = channel;
     in.upstreamPort = upstream_port;
     inBoundary_[static_cast<std::size_t>(port)] = channel;
+    channel->setArrivalFlag(ArrivalFlag(&arrivalDue_, port));
+}
+
+void
+Router::setFaultsAttached(bool attached)
+{
+    faultsAttached_ = attached;
+    pollMask_ = 0;
+    if (!attached)
+        return;
+    for (int p = 0; p < numPorts(); p++) {
+        if (inDrainLink_[static_cast<std::size_t>(p)] != nullptr)
+            pollMask_ |= 1ull << p;
+    }
 }
 
 bool
@@ -103,9 +119,14 @@ Router::connectOutput(int port, OpticalLink *link, int downstream_vc_depth)
         panic("Router %s: bad output port %d", name_.c_str(), port);
     outLink_[static_cast<std::size_t>(port)] = link;
     for (int v = 0; v < params_.numVcs; v++) {
-        auto f = static_cast<std::size_t>(flatIdx(port, v));
+        int fi = flatIdx(port, v);
+        auto f = static_cast<std::size_t>(fi);
         outCredits_[f] = downstream_vc_depth;
         outMaxCredits_[f] = downstream_vc_depth;
+        if (downstream_vc_depth > 0)
+            outOpen_ |= 1ull << fi;
+        else
+            outOpen_ &= ~(1ull << fi);
     }
 }
 
@@ -222,8 +243,10 @@ Router::applyCredits(Cycle now)
     while (i < pendingCredits_.size()) {
         const auto &pc = pendingCredits_[i];
         if (pc.effective <= now) {
-            auto f = static_cast<std::size_t>(flatIdx(pc.port, pc.vc));
+            int fi = flatIdx(pc.port, pc.vc);
+            auto f = static_cast<std::size_t>(fi);
             outCredits_[f]++;
+            outOpen_ |= 1ull << fi;
             if (outCredits_[f] > vcDepth_)
                 panic("Router %s: credit overflow on output %d vc %d",
                       name_.c_str(), pc.port, pc.vc);
@@ -267,60 +290,58 @@ Router::stageSwitchTraversal(Cycle now)
 void
 Router::stageSwitchAllocation(Cycle now)
 {
-    int ports = numPorts();
     int vcs = params_.numVcs;
 
-    // Stage 1: each input port nominates one of its VCs. Requests per
-    // output port are accumulated as bit masks for stage 2.
-    std::uint64_t port_requests[kMaxPorts] = {};
-    bool any = false;
-    for (int p = 0; p < ports; p++) {
-        // A port with no buffered flits can nominate nothing.
-        if (portOcc_[static_cast<std::size_t>(p)] == 0) {
-            saCandidateVc_[static_cast<std::size_t>(p)] = kInvalid;
-            continue;
-        }
+    // Stage 1: each input port with an SA-ready VC nominates one of
+    // them. saReady_ is flat (p*vcs+v), so an ascending walk visits the
+    // ports in ascending order with each port's VCs contiguous; ports
+    // with nothing ready are never touched. Requests per output port
+    // are accumulated as bit masks for stage 2.
+    std::uint64_t port_requests[kMaxPorts];
+    int cand_vc[kMaxPorts];
+    std::uint64_t nominated = 0; ///< output ports with a request
+    for (std::uint64_t m = saReady_; m != 0;) {
+        int p = std::countr_zero(m) / vcs;
         int base = p * vcs;
+        std::uint64_t port_bits = m & (vcBits_ << base);
+        m &= ~port_bits;
         std::uint64_t req = 0;
-        for (int v = 0; v < vcs; v++) {
-            auto f = static_cast<std::size_t>(base + v);
-            if (vcState_[f] != VcState::kActive ||
-                buffers_.empty(base + v))
-                continue;
-            int q = vcOutPort_[f];
-            OpticalLink *olink = outLink_[static_cast<std::size_t>(q)];
+        for (std::uint64_t b = port_bits; b != 0; b &= b - 1) {
+            int f = std::countr_zero(b);
+            auto fs = static_cast<std::size_t>(f);
+            int q = vcOutPort_[fs];
             // A dead output accepts (and discards) anything, so the
             // wormhole headed there can drain regardless of latch or
             // credit state.
-            if (olink == nullptr || !olink->isFailed()) {
-                if (latchFull_[static_cast<std::size_t>(q)])
+            if (!outDead(q)) {
+                if (latchMask_ >> q & 1)
                     continue;
-                if (outCredits_[static_cast<std::size_t>(
-                        q * vcs + vcOutVc_[f])] <= 0)
+                if (!(outOpen_ >> (q * vcs + vcOutVc_[fs]) & 1))
                     continue;
             }
-            req |= 1ull << v;
+            req |= 1ull << (f - base);
         }
-        int winner =
-            req ? saInputArb_[static_cast<std::size_t>(p)].pick(req)
-                : kInvalid;
-        saCandidateVc_[static_cast<std::size_t>(p)] = winner;
-        if (winner != kInvalid) {
-            int q = vcOutPort_[static_cast<std::size_t>(base + winner)];
-            port_requests[q] |= 1ull << p;
-            any = true;
+        if (req == 0)
+            continue;
+        int winner = saInputArb_[static_cast<std::size_t>(p)].pick(req);
+        int q = vcOutPort_[static_cast<std::size_t>(base + winner)];
+        if (!(nominated >> q & 1)) {
+            nominated |= 1ull << q;
+            port_requests[q] = 0;
         }
+        port_requests[q] |= 1ull << p;
+        cand_vc[p] = winner;
     }
-    if (!any)
-        return;
 
-    // Stage 2: each output port picks among nominating input ports.
-    for (int q = 0; q < ports; q++) {
+    // Stage 2: each nominated output port picks among its nominating
+    // input ports (ascending port order, as a full scan would).
+    for (; nominated != 0; nominated &= nominated - 1) {
+        int q = std::countr_zero(nominated);
         auto qs = static_cast<std::size_t>(q);
-        if (port_requests[q] == 0 || latchFull_[qs])
+        if (latchMask_ >> q & 1)
             continue;
         int p = saArb_[qs].pick(port_requests[q]);
-        int v = saCandidateVc_[static_cast<std::size_t>(p)];
+        int v = cand_vc[p];
         auto &in = inputs_[static_cast<std::size_t>(p)];
         int fi = p * vcs + v;
         auto fs = static_cast<std::size_t>(fi);
@@ -331,9 +352,7 @@ Router::stageSwitchAllocation(Cycle now)
         in.occupancy.update(now, portOcc_[static_cast<std::size_t>(p)]);
         vcLastActivity_[fs] = now;
         int ov = vcOutVc_[fs];
-        OpticalLink *olink = outLink_[qs];
-        bool dead = olink != nullptr && olink->isFailed();
-        if (dead) {
+        if (outDead(q)) {
             // Flits to a hard-failed link are discarded at the switch;
             // output credits are not touched (the far side will never
             // return them).
@@ -344,7 +363,9 @@ Router::stageSwitchAllocation(Cycle now)
             latchFull_[qs] = 1;
             latchMask_ |= 1ull << q;
             latchCount_++;
-            outCredits_[static_cast<std::size_t>(q * vcs + ov)]--;
+            int oi = q * vcs + ov;
+            if (--outCredits_[static_cast<std::size_t>(oi)] <= 0)
+                outOpen_ &= ~(1ull << oi);
             flitsSwitched_++;
         }
 
@@ -355,9 +376,10 @@ Router::stageSwitchAllocation(Cycle now)
         if (in.upstream != nullptr && !(flit.isPoison() && inputFailed(in)))
             in.upstream->returnCredit(in.upstreamPort, v, now);
 
-        // This input port consumed its switch slot this cycle.
-        saCandidateVc_[static_cast<std::size_t>(p)] = kInvalid;
-
+        // The VC stops bidding once drained, or once its wormhole
+        // closes (it is then idle or routing the next packet).
+        if (flit.isTail() || buffers_.empty(fi))
+            saReady_ &= ~(1ull << fi);
         if (flit.isTail()) {
             outAllocated_[static_cast<std::size_t>(q * vcs + ov)] = 0;
             vcOutPort_[fs] = static_cast<std::int16_t>(kInvalid);
@@ -398,7 +420,7 @@ Router::stageVcAllocation(Cycle now)
             continue;
         auto qs = static_cast<std::size_t>(q);
 
-        if (outLink_[qs] != nullptr && outLink_[qs]->isFailed()) {
+        if (outDead(q)) {
             // Dead output: grant every requester immediately (VC 0,
             // unconditionally) so wormholes stuck routing to it can
             // drain into the drop path instead of waiting forever for
@@ -410,6 +432,8 @@ Router::stageVcAllocation(Cycle now)
                 auto ws = static_cast<std::size_t>(winner);
                 vcOutVc_[ws] = 0;
                 vcState_[ws] = VcState::kActive;
+                if (!buffers_.empty(winner))
+                    saReady_ |= 1ull << winner;
                 vcAllocCount_--;
                 activeVcCount_++;
                 requests[q] &= ~(1ull << winner);
@@ -443,6 +467,8 @@ Router::stageVcAllocation(Cycle now)
             auto ws = static_cast<std::size_t>(winner);
             vcOutVc_[ws] = static_cast<std::int16_t>(ov);
             vcState_[ws] = VcState::kActive;
+            if (!buffers_.empty(winner))
+                saReady_ |= 1ull << winner;
             vcAllocCount_--;
             activeVcCount_++;
             outAllocated_[static_cast<std::size_t>(qbase + ov)] = 1;
@@ -479,9 +505,7 @@ Router::selectRoute(NodeId dst)
     RouteOption live[kMaxRouteCandidates];
     int m = 0;
     for (int i = 0; i < n; i++) {
-        OpticalLink *link = outLink_[static_cast<std::size_t>(
-            candidates[i].port.value())];
-        if (link != nullptr && link->isFailed())
+        if (outDead(candidates[i].port.value()))
             continue;
         live[m++] = candidates[i];
     }
@@ -532,7 +556,10 @@ Router::stageRouteComputation(Cycle now)
 void
 Router::drainArrivals(Cycle now)
 {
-    for (int p = 0; p < numPorts(); p++) {
+    // Only ports whose feeder raised the due bit, plus (with faults)
+    // every directly polled link; any other port has nothing due.
+    for (std::uint64_t m = arrivalDue_ | pollMask_; m != 0; m &= m - 1) {
+        int p = std::countr_zero(m);
         auto deliver = [&](const Flit &flit) {
             int v = flit.vc;
             if (v < 0 || v >= params_.numVcs)
@@ -549,6 +576,8 @@ Router::drainArrivals(Cycle now)
                           name_.c_str(), p, v);
                 vcState_[fs] = VcState::kRouting;
                 routingCount_++;
+            } else if (vcState_[fs] == VcState::kActive) {
+                saReady_ |= 1ull << fi;
             }
             buffers_.push(fi, flit);
             vcLastActivity_[fs] = now;
@@ -563,9 +592,14 @@ Router::drainArrivals(Cycle now)
             // before arrival).
             while (bc->hasReadyArrival())
                 deliver(bc->popReadyArrival());
-        } else if (OpticalLink *l =
-                       inDrainLink_[static_cast<std::size_t>(p)]) {
+            arrivalDue_ &= ~(1ull << p);
+        } else {
+            OpticalLink *l = inDrainLink_[static_cast<std::size_t>(p)];
             l->drainArrivalsDue(now, deliver);
+            // Flits still on the wire keep the port due: accept()
+            // raised the bit once, at send time.
+            if (l->inFlight() == 0)
+                arrivalDue_ &= ~(1ull << p);
         }
     }
 }
@@ -593,6 +627,7 @@ Router::reclaimOrphans(Cycle now)
             Flit tail{};
             tail.flags = Flit::kTailFlag | Flit::kPoisonFlag;
             buffers_.push(fi, tail);
+            saReady_ |= 1ull << fi;
             vcLastActivity_[fs] = now;
             bufferedFlits_++;
             portOcc_[static_cast<std::size_t>(p)]++;
@@ -610,15 +645,69 @@ Router::tick(Cycle now)
         applyCredits(now);
     if (latchCount_ > 0)
         stageSwitchTraversal(now);
-    if (bufferedFlits_ > 0)
+    if (saReady_ != 0)
         stageSwitchAllocation(now);
     if (vcAllocCount_ > 0)
         stageVcAllocation(now);
     if (routingCount_ > 0)
         stageRouteComputation(now);
-    drainArrivals(now);
+    if ((arrivalDue_ | pollMask_) != 0)
+        drainArrivals(now);
     if (orphanTimeout_ != 0 && (now & 1023) == 0)
         reclaimOrphans(now);
+}
+
+void
+Router::auditMasks() const
+{
+    int ports = numPorts();
+    int vcs = params_.numVcs;
+    std::uint64_t sa_ready = 0;
+    std::uint64_t out_open = 0;
+    std::uint64_t latched = 0;
+    for (int f = 0; f < ports * vcs; f++) {
+        auto fs = static_cast<std::size_t>(f);
+        if (vcState_[fs] == VcState::kActive && !buffers_.empty(f))
+            sa_ready |= 1ull << f;
+        if (outCredits_[fs] > 0)
+            out_open |= 1ull << f;
+    }
+    for (int q = 0; q < ports; q++) {
+        if (latchFull_[static_cast<std::size_t>(q)])
+            latched |= 1ull << q;
+    }
+    if (sa_ready != saReady_ || out_open != outOpen_ ||
+        latched != latchMask_)
+        panic("Router %s: stale work mask (saReady %#llx want %#llx, "
+              "outOpen %#llx want %#llx, latch %#llx want %#llx)",
+              name_.c_str(), static_cast<unsigned long long>(saReady_),
+              static_cast<unsigned long long>(sa_ready),
+              static_cast<unsigned long long>(outOpen_),
+              static_cast<unsigned long long>(out_open),
+              static_cast<unsigned long long>(latchMask_),
+              static_cast<unsigned long long>(latched));
+
+    // Arrival-due bits, as they stand between kernel steps:
+    //  - direct link: up exactly while flits are in flight (a polled,
+    //    fault-attached link may keep a stale bit after a hard
+    //    failure dropped its ring);
+    //  - direct-mode channel: up exactly while flits are ready (staged
+    //    at t, drained at t+1);
+    //  - cross-shard channel: always down (raised by the pre-pass,
+    //    cleared by the same cycle's drain; flits published at the end
+    //    of this step wait for the next pre-pass).
+    for (int p = 0; p < ports; p++) {
+        auto ps = static_cast<std::size_t>(p);
+        bool due = arrivalDue_ >> p & 1;
+        bool want = false;
+        if (const BoundaryChannel *bc = inBoundary_[ps])
+            want = bc->direct() && bc->hasReadyArrival();
+        else if (const OpticalLink *l = inDrainLink_[ps])
+            want = l->inFlight() > 0 || (due && (pollMask_ >> p & 1));
+        if (due != want)
+            panic("Router %s: arrival-due bit of input %d is %d, want %d",
+                  name_.c_str(), p, due ? 1 : 0, want ? 1 : 0);
+    }
 }
 
 Cycle

@@ -161,6 +161,26 @@ class Router final : public Ticking,
      */
     void setOrphanTimeout(Cycle cycles) { orphanTimeout_ = cycles; }
 
+    /**
+     * Tell the router whether a fault injector is attached to its
+     * links (Network::setFaultInjector). Only then can a link
+     * hard-fail, so the dead-output checks of RC, VA and SA run only
+     * then, and every directly polled input link is drained on every
+     * awake tick: on a fault-attached link that poll is what drives
+     * the lazy CRC replay and fault walk (see
+     * OpticalLink::drainArrivalsDue). Call after the inputs are
+     * connected.
+     */
+    void setFaultsAttached(bool attached);
+
+    /**
+     * Recompute the incremental bitmasks (arrival-due ports, SA-ready
+     * input VCs, open output VCs, occupied latches) from the flat
+     * state and panic on any mismatch. Valid between kernel steps
+     * (the conservation audit and tests call it there).
+     */
+    void auditMasks() const;
+
     /** Flits dropped at outputs whose link hard-failed. */
     std::uint64_t droppedDeadPort() const { return droppedDeadPort_; }
 
@@ -210,10 +230,18 @@ class Router final : public Ticking,
     void drainArrivals(Cycle now);
 
     /** Flat index of input/output VC (@p port, @p vc) into the
-     *  hot-state arrays — the same flattening VA's request masks use. */
+     *  hot-state arrays — the same flattening every VC mask uses. */
     int flatIdx(int port, int vc) const
     {
         return port * params_.numVcs + vc;
+    }
+
+    /** True if output @p q's link has hard-failed. Always false
+     *  without a fault injector, so the link is not even read. */
+    bool outDead(int q) const
+    {
+        OpticalLink *l = outLink_[static_cast<std::size_t>(q)];
+        return faultsAttached_ && l != nullptr && l->isFailed();
     }
 
     std::string name_;
@@ -277,10 +305,26 @@ class Router final : public Ticking,
     int vcAllocCount_ = 0;  ///< input VCs in kVcAlloc
     int activeVcCount_ = 0; ///< input VCs in kActive (open wormholes)
 
+    // Incremental work masks (DESIGN.md section 9). Each is kept exact
+    // at every state change, so a stage walks only set bits; see
+    // auditMasks for the invariants.
+    /** Bit p: input p may have a flit to drain. Raised by the feeding
+     *  link (accept) or boundary channel (ArrivalFlag); cleared once
+     *  the channel's ready side or the link's in-flight ring is empty. */
+    std::uint64_t arrivalDue_ = 0;
+    /** Bit p: input p is a directly polled link with a fault injector
+     *  attached, drained on every awake tick (setFaultsAttached). */
+    std::uint64_t pollMask_ = 0;
+    /** Bit flatIdx(p, v): input VC is kActive with flits buffered —
+     *  exactly the VCs that may bid for the switch. */
+    std::uint64_t saReady_ = 0;
+    /** Bit flatIdx(q, v): output VC has credits (> 0). */
+    std::uint64_t outOpen_ = 0;
+    std::uint64_t vcBits_ = 0; ///< low numVcs bits set (one port's VCs)
+    bool faultsAttached_ = false;
+
     /** Upper bound on ports (masks are 64-bit; VA flattens p*vcs+v). */
     static constexpr int kMaxPorts = 32;
-
-    std::vector<int> saCandidateVc_; ///< per input port, winner VC or -1
 };
 
 } // namespace oenet

@@ -65,8 +65,14 @@ TEST(Proc, ExceptionBecomesExceptionExit)
 
 TEST(Proc, CrashIsReportedAsSignal)
 {
-    ChildResult r =
-        runInChild([](int) { std::raise(SIGSEGV); }, 0.0);
+    ChildResult r = runInChild(
+        [](int) {
+            // Default disposition first: a sanitizer runtime's SEGV
+            // handler would otherwise catch the signal and exit(1).
+            std::signal(SIGSEGV, SIG_DFL);
+            std::raise(SIGSEGV);
+        },
+        0.0);
     ASSERT_EQ(r.status, ChildResult::Status::kSignaled);
     EXPECT_EQ(r.code, SIGSEGV);
     EXPECT_NE(r.describe().find("signal"), std::string::npos);

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
@@ -446,8 +447,13 @@ TEST(SweepRobustness, IsolatedCrashIsContained)
     opts.maxRetries = 0;
     SweepReport report = SweepRunner(opts).run(
         smallSweep(), [&](const SweepPoint &p, std::uint64_t seed) {
-            if (p.label == "rate=0.6/pa")
-                std::raise(SIGSEGV); // dies in the child, not here
+            if (p.label == "rate=0.6/pa") {
+                // Dies in the child, not here. Restore the default
+                // disposition first: a sanitizer runtime's SEGV handler
+                // would otherwise catch the signal and exit(1).
+                std::signal(SIGSEGV, SIG_DFL);
+                std::raise(SIGSEGV);
+            }
             return syntheticMetrics(p, seed);
         });
     ASSERT_EQ(report.outcomes.size(), 6u);
@@ -607,6 +613,91 @@ TEST(SweepJournalResume, PartialJournalRunsOnlyTheRemainder)
     EXPECT_EQ(resumed.resumedPoints, 2u);
     EXPECT_EQ(sweepManifestJson("t", 5, uninterrupted.outcomes),
               sweepManifestJson("t", 5, resumed.outcomes));
+    std::remove(path.c_str());
+}
+
+namespace {
+
+/** Lines in @p path (header + records). */
+std::size_t
+journalLines(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    std::size_t n = 0;
+    for (std::string line; std::getline(in, line);)
+        n++;
+    return n;
+}
+
+} // namespace
+
+TEST(SweepJournalResume, TracedPointRerunsWithoutSecondRecord)
+{
+    std::string path = "sweep_runner_test_traced.jsonl";
+    std::remove(path.c_str());
+    std::vector<SweepPoint> points = smallSweep();
+    points[1].trace = true;
+
+    SweepRunner::Options opts = fastRetryOpts(2);
+    opts.journalPath = path;
+    opts.traceFactory = [](const std::string &) {
+        return std::unique_ptr<TraceSink>();
+    };
+    SweepReport first = SweepRunner(opts).run(
+        points, [](const SweepPoint &p, std::uint64_t seed) {
+            return syntheticMetrics(p, seed);
+        });
+    ASSERT_TRUE(first.allOk());
+    ASSERT_EQ(journalLines(path), 7u);
+
+    // Every record is journaled, yet the traced point runs again: its
+    // trace is only produced by running it.
+    std::atomic<int> executed{0};
+    std::atomic<int> tracedRuns{0};
+    opts.resume = true;
+    SweepReport second = SweepRunner(opts).run(
+        points, [&](const SweepPoint &p, std::uint64_t seed) {
+            executed++;
+            if (p.trace)
+                tracedRuns++;
+            return syntheticMetrics(p, seed);
+        });
+    EXPECT_EQ(executed.load(), 1);
+    EXPECT_EQ(tracedRuns.load(), 1);
+    EXPECT_EQ(second.resumedPoints, 6u);
+    EXPECT_EQ(journalLines(path), 7u) << "traced record appended twice";
+    EXPECT_EQ(sweepManifestJson("t", 5, first.outcomes),
+              sweepManifestJson("t", 5, second.outcomes));
+    std::remove(path.c_str());
+}
+
+TEST(SweepJournalResumeDeath, TracedRerunThatDiffersIsFatal)
+{
+    std::string path = "sweep_runner_test_traced_diff.jsonl";
+    std::remove(path.c_str());
+    std::vector<SweepPoint> points = smallSweep();
+    points[1].trace = true;
+
+    SweepRunner::Options opts = fastRetryOpts();
+    opts.journalPath = path;
+    opts.traceFactory = [](const std::string &) {
+        return std::unique_ptr<TraceSink>();
+    };
+    SweepRunner(opts).run(points,
+                          [](const SweepPoint &p, std::uint64_t seed) {
+                              return syntheticMetrics(p, seed);
+                          });
+    opts.resume = true;
+    EXPECT_EXIT(SweepRunner(opts).run(
+                    points,
+                    [](const SweepPoint &p, std::uint64_t seed) {
+                        RunMetrics m = syntheticMetrics(p, seed);
+                        // One ulp off: still a different record.
+                        m.avgLatency = std::nextafter(m.avgLatency, 1e300);
+                        return m;
+                    }),
+                ::testing::ExitedWithCode(1),
+                "differ from its journal record");
     std::remove(path.c_str());
 }
 

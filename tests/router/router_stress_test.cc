@@ -3,7 +3,8 @@
  * Randomized stress of a single router: many packets from random
  * inputs to random destinations, with credits returned after random
  * delays. Properties: nothing is lost, per-packet flit order holds,
- * per-VC wormhole integrity holds, and the router empties.
+ * per-VC wormhole integrity holds, the router empties, and its
+ * incremental work masks match its flat state after every tick.
  */
 
 #include <gtest/gtest.h>
@@ -104,6 +105,7 @@ TEST_P(RouterStressTest, ConservationOrderAndDrain)
 
     for (Cycle t = 0; t < 30000; t++) {
         router_->tick(t);
+        router_->auditMasks();
 
         // Offer one flit per input port, respecting credits.
         for (int p = 0; p < kPorts; p++) {
@@ -167,6 +169,7 @@ TEST_P(RouterStressTest, ConservationOrderAndDrain)
             router_->returnCredit(port, vc, t);
             credit_queue.pop_front();
         }
+        router_->auditMasks();
     }
 
     std::uint64_t total_fed = 0;
