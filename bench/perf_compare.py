@@ -16,7 +16,13 @@ Two modes, combinable in one invocation:
       perf_compare.py --expect-ratio SLOW_NAME FAST_NAME MIN NEW.json
   Asserts time(SLOW_NAME) / time(FAST_NAME) >= MIN. Used to pin the
   idle-elision win: BM_SystemCycleIdleNoElision over BM_SystemCycleIdle
-  must stay >= 3x.
+  must stay >= 3x. MIN may be below 1 to bound how much slower FAST_NAME
+  may get.
+
+A benchmark run with --benchmark_repetitions contributes the median of
+its repetitions' raw runs (run it with
+--benchmark_enable_random_interleaving=true so the two sides of a
+ratio sample the same stretch of host noise).
 
 Either mode refuses JSON recorded from a non-Release simulator build
 (the oenet_build_type context stamped by bench_sim_microbench); pass
@@ -32,6 +38,7 @@ Regenerate the committed baseline (from a Release build):
 
 import argparse
 import json
+import statistics
 import sys
 
 UNIT_NS = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
@@ -73,7 +80,7 @@ def load(path, allow_debug=False):
     except (OSError, json.JSONDecodeError) as e:
         sys.exit(f"perf_compare: cannot read {path}: {e}")
     check_build_type(doc, path, allow_debug)
-    times = {}
+    runs = {}
     for b in doc.get("benchmarks", []):
         if b.get("run_type") == "aggregate":
             continue  # use the raw runs; aggregates double-report
@@ -81,10 +88,11 @@ def load(path, allow_debug=False):
         if unit is None:
             sys.exit(f"perf_compare: unknown time unit in {path}: "
                      f"{b.get('time_unit')}")
-        times[b["name"]] = b["real_time"] * unit
-    if not times:
+        runs.setdefault(b["name"], []).append(b["real_time"] * unit)
+    if not runs:
         sys.exit(f"perf_compare: no benchmarks in {path}")
-    return times
+    # --benchmark_repetitions writes one raw run per repetition.
+    return {name: statistics.median(t) for name, t in runs.items()}
 
 
 def fmt(ns):
@@ -158,7 +166,7 @@ def main():
                          f"{args.files[-1]}")
         ratio = target[slow] / target[fast]
         ok = ratio >= want
-        print(f"ratio {slow} / {fast} = {ratio:.1f}x "
+        print(f"ratio {slow} / {fast} = {ratio:.2f}x "
               f"(need >= {want}x): {'ok' if ok else 'FAILED'}")
         failed |= not ok
 

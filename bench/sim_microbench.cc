@@ -18,7 +18,10 @@
  * same for the SoA power ledger (>= 1.3x with leakage + thermal on),
  * and BM_LoadedRouterTick / BM_SparseRouterTick for the router's work
  * masks (>= 2.7x: a mostly idle 12-port router costs what its busy
- * ports cost, not what its radix costs).
+ * ports cost, not what its radix costs). BM_SmallSystemCycleFaultFree /
+ * BM_SmallSystemCycleFaulted prices the fault layer on a loaded system;
+ * its gate is a floor below 1 (the faulted twin is the slower one),
+ * checked on 8 randomly interleaved repetitions of the pair.
  */
 
 #include <benchmark/benchmark.h>
@@ -132,6 +135,54 @@ BM_SmallSystemCycleLoaded(benchmark::State &state)
         sys.run(1);
 }
 BENCHMARK(BM_SmallSystemCycleLoaded)->Unit(benchmark::kMicrosecond);
+
+// A loaded 4x4x2 west-first system with and without the fault layer
+// (BER floor 1e-4: CRC retransmits, no kill). Every fault-attached
+// link is polled by its receiver each cycle, so the pair prices that
+// poll: between fault events a fault-attached link should cost what a
+// fault-free one costs. Each iteration times the same fixed window of
+// a fresh system (a loaded system's per-cycle cost drifts with the
+// window, so an open-ended run would time whatever window the
+// adaptive iteration count happened to reach).
+void
+runFaultTwin(benchmark::State &state, bool faults)
+{
+    constexpr Cycle kWarmup = 2000;
+    constexpr Cycle kWindow = 5000;
+    SystemConfig cfg;
+    cfg.meshX = 4;
+    cfg.meshY = 4;
+    cfg.clusterSize = 2;
+    cfg.routing = RoutingAlgo::kWestFirst;
+    cfg.fault.enabled = faults;
+    cfg.fault.berFloor = 1e-4;
+    for (auto _ : state) {
+        state.PauseTiming();
+        auto sys = std::make_unique<PoeSystem>(cfg);
+        sys->setTraffic(
+            makeTraffic(TrafficSpec::uniform(0.8, 4, 3), cfg));
+        sys->run(kWarmup);
+        state.ResumeTiming();
+        sys->run(kWindow);
+        state.PauseTiming();
+        sys.reset();
+        state.ResumeTiming();
+    }
+}
+
+void
+BM_SmallSystemCycleFaultFree(benchmark::State &state)
+{
+    runFaultTwin(state, false);
+}
+BENCHMARK(BM_SmallSystemCycleFaultFree)->Unit(benchmark::kMillisecond);
+
+void
+BM_SmallSystemCycleFaulted(benchmark::State &state)
+{
+    runFaultTwin(state, true);
+}
+BENCHMARK(BM_SmallSystemCycleFaulted)->Unit(benchmark::kMillisecond);
 
 // A hand-wired router held at saturation: four direction inputs feed
 // endless 4-flit packets with rotating destinations while the harness

@@ -54,7 +54,7 @@ main(int argc, char **argv)
 
     // 2. Round-trip through the trace file format.
     saveTrace(path, generated);
-    TraceData trace = loadTrace(path);
+    TraceData trace = loadTrace(path, cfg.numNodes());
     validateTrace(trace, cfg.numNodes());
     std::printf("wrote and re-read %s (%zu records)\n", path.c_str(),
                 trace.size());

@@ -287,6 +287,10 @@ PoeSystem::auditConservation(Cycle settle_limit)
     // so this panics instead of counting.
     for (int r = 0; r < network_->numRouters(); r++)
         network_->router(r).auditMasks();
+    // Likewise every link's event horizon: a horizon past the next
+    // scheduled event would let a skipped state walk miss it.
+    for (std::size_t i = 0; i < network_->numLinks(); i++)
+        network_->link(i).auditDue();
 
     std::uint64_t violations = 0;
 

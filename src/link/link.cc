@@ -146,6 +146,7 @@ OpticalLink::enterPhase(Phase phase, Cycle at, Cycle end)
                                           phase == Phase::kOff);
     }
     refreshSignals(at);
+    updateDue();
 }
 
 void
@@ -160,6 +161,8 @@ OpticalLink::setFault(FaultInjector *faults, int link_id)
 {
     faults_ = faults;
     faultId_ = link_id;
+    corruptLevel_ = kInvalid;
+    updateDue();
 }
 
 void
@@ -229,7 +232,7 @@ OpticalLink::armReceiverTransitionWake()
 }
 
 void
-OpticalLink::advance(Cycle now)
+OpticalLink::advanceSlow(Cycle now)
 {
     if (faults_ != nullptr)
         faultAdvance(now);
@@ -241,6 +244,36 @@ OpticalLink::advance(Cycle now)
         pendingPowerAt_ = kNeverCycle;
         wakeSettleEnd_ = kNeverCycle;
     }
+    // A lock loss swallowed by an ongoing outage and a landed power
+    // step change the horizon without passing through enterPhase.
+    updateDue();
+}
+
+Cycle
+OpticalLink::nextDue() const
+{
+    Cycle due = pendingPowerAt_;
+    if (phase_ != Phase::kStable && phase_ != Phase::kOff)
+        due = std::min(due, phaseEnd_);
+    if (faults_ != nullptr && !failed_) {
+        due = std::min(due, faults_->peekLockLoss(faultId_));
+        due = std::min(due, faults_->hardFailAtCycle(faultId_));
+    }
+    return due;
+}
+
+void
+OpticalLink::auditDue() const
+{
+    // Between entry points the horizon is exact: later would skip a
+    // due walk (a correctness bug), earlier would only waste the fast
+    // path but still means a recompute site was missed.
+    Cycle want = nextDue();
+    if (dueAt_ != want)
+        panic("OpticalLink %s: stale event horizon (due %llu, next "
+              "event %llu)",
+              name_.c_str(), static_cast<unsigned long long>(dueAt_),
+              static_cast<unsigned long long>(want));
 }
 
 void
@@ -336,15 +369,6 @@ OpticalLink::phaseAdvance(Cycle now)
     }
 }
 
-bool
-OpticalLink::canAcceptSlow(Cycle now)
-{
-    advance(now);
-    if (!enabledNow() || inflightCount_ >= kInflightCap)
-        return false;
-    return static_cast<double>(now) + 1.0 > nextFree_ + 1e-9;
-}
-
 void
 OpticalLink::accept(Cycle now, const Flit &flit)
 {
@@ -416,9 +440,8 @@ OpticalLink::nextReceiverEventCycle() const
 }
 
 double
-OpticalLink::flitCorruptProb() const
+OpticalLink::flitCorruptProb()
 {
-    const FaultParams &fp = faults_->params();
     // Received optical power as a fraction of full power: the VOA
     // level for modulator links, the drive voltage for directly
     // modulated VCSELs.
@@ -426,18 +449,23 @@ OpticalLink::flitCorruptProb() const
     double frac = powerModel_.scheme() == LinkScheme::kModulator
                       ? opticalScale_
                       : levels_.level(level).vddV / params_.power.vmaxV;
+    if (level == corruptLevel_ && frac == corruptFrac_)
+        return corruptProb_;
+    const FaultParams &fp = faults_->params();
     double margin = opticalMargin(frac, levels_.level(level).brGbps,
                                   params_.power.brMaxGbps);
     double ber = fp.berScale * berFromMargin(margin) + fp.berFloor;
     if (ber > 0.5)
         ber = 0.5;
-    return flitErrorProb(ber, kFlitBits);
+    corruptLevel_ = level;
+    corruptFrac_ = frac;
+    corruptProb_ = flitErrorProb(ber, kFlitBits);
+    return corruptProb_;
 }
 
 void
 OpticalLink::reliabilityAdvance(Cycle now)
 {
-    advance(now); // scheduled faults first; a failure drops the ring
     const FaultParams &fp = faults_->params();
     while (inflightCount_ > 0) {
         InFlight &head = inflight_[inflightHead_];
@@ -493,7 +521,7 @@ OpticalLink::popArrival(Cycle now)
         panic("OpticalLink %s: popArrival with nothing arrived",
               name_.c_str());
     Flit flit = inflight_[inflightHead_].flit;
-    inflightHead_ = (inflightHead_ + 1) % kInflightCap;
+    inflightHead_ = (inflightHead_ + 1) & (kInflightCap - 1);
     inflightCount_--;
     return flit;
 }

@@ -40,6 +40,11 @@
  * (the receiver's reorder window), preserving wormhole flit order.
  * Scheduled faults (CDR lock loss, hard failure) are processed at
  * their exact cycles during the lazy advance walk.
+ *
+ * The walk runs only when it has work: the link keeps an event
+ * horizon dueAt_, the earliest cycle at which anything is scheduled
+ * (a phase end, the wake-settle power step, the next lock loss or the
+ * hard failure), and every entry point below it is a single compare.
  */
 
 #ifndef OENET_LINK_LINK_HH
@@ -108,17 +113,13 @@ class OpticalLink
      *  is accepted as soon as the transmitter frees up *within* cycle
      *  [now, now+1), so fractional serialization credit carries across
      *  cycles and the saturated rate matches the level's bit rate
-     *  exactly. Inline fast path: a stable link needs no state walk. */
+     *  exactly. Below the event horizon — faults attached or not —
+     *  this is a few compares with no state walk. */
     bool canAccept(Cycle now)
     {
-        // With faults attached the stable fast path is unsafe: a
-        // scheduled failure may be due, and only the state walk in
-        // canAcceptSlow discovers it.
-        if (faults_ == nullptr && phase_ == Phase::kStable) {
-            return inflightCount_ < kInflightCap &&
-                   static_cast<double>(now) + 1.0 > nextFree_ + 1e-9;
-        }
-        return canAcceptSlow(now);
+        advance(now);
+        return enabledNow() && inflightCount_ < kInflightCap &&
+               static_cast<double>(now) + 1.0 > nextFree_ + 1e-9;
     }
 
     /** Hand one flit to the link. @pre canAccept(now). */
@@ -130,12 +131,17 @@ class OpticalLink
 
     /** True if a flit has fully arrived by cycle @p now. Arrivals are
      *  stamped at accept() time, so without faults no state walk is
-     *  needed; with faults the reliability layer must first replay any
-     *  corrupted head-of-line flit. */
+     *  needed; with faults scheduled faults are processed first (a
+     *  lock loss scrambles flits on the wire, a failure drops them)
+     *  and a corrupt head-of-line flit that is due is replayed. */
     bool hasArrival(Cycle now)
     {
-        if (faults_ != nullptr)
-            reliabilityAdvance(now);
+        if (faults_ != nullptr) {
+            advance(now);
+            if (inflightCount_ > 0 && inflight_[inflightHead_].corrupt &&
+                inflight_[inflightHead_].arrives <= now)
+                reliabilityAdvance(now);
+        }
         return inflightCount_ > 0 &&
                inflight_[inflightHead_].arrives <= now;
     }
@@ -153,10 +159,10 @@ class OpticalLink
      * the count. Equivalent to `while (hasArrival(now))
      * sink(popArrival(now))` but with no fault model attached it is a
      * single branch-light ring walk — arrival stamps are final, so
-     * nothing re-checks the head between pops. With faults the
-     * per-flit poll loop is kept: each pop can expose a corrupt head
-     * whose replay walk (RNG draws, trace events) must run before the
-     * next arrival test.
+     * nothing re-checks the head between pops. With faults each pop
+     * takes one hasArrival() test (not popArrival()'s second one): a
+     * clean due head costs the horizon compare, and a corrupt one runs
+     * its replay walk (RNG draws, trace events) before the next test.
      */
     template <typename SinkFn>
     int drainArrivalsDue(Cycle now, SinkFn &&sink)
@@ -176,7 +182,9 @@ class OpticalLink
         }
         int n = 0;
         while (hasArrival(now)) {
-            sink(popArrival(now));
+            sink(inflight_[inflightHead_].flit);
+            inflightHead_ = (inflightHead_ + 1) & (kInflightCap - 1);
+            inflightCount_--;
             n++;
         }
         return n;
@@ -303,6 +311,15 @@ class OpticalLink
      *  input). */
     std::uint64_t windowRetries() const { return windowRetries_; }
 
+    /**
+     * Check the event horizon against the next scheduled event
+     * recomputed from the link's state; panic unless they are equal.
+     * A later horizon would let a skipped walk miss work; an earlier
+     * one means a recompute site was missed. Run per link by
+     * PoeSystem::auditConservation.
+     */
+    void auditDue() const;
+
     // ------------------------------------------------------------------
     // Statistics
     // ------------------------------------------------------------------
@@ -376,16 +393,16 @@ class OpticalLink
     const Params &params() const { return params_; }
 
   private:
-    bool canAcceptSlow(Cycle now);
-
     /** Per-flit corruption probability at the current operating point:
-     *  flitErrorProb over the margin-derived BER. */
-    double flitCorruptProb() const;
+     *  flitErrorProb over the margin-derived BER. Cached per operating
+     *  point (level used, received fraction): libm runs again only
+     *  after a DVS or VOA step. */
+    double flitCorruptProb();
 
     /** Replay corrupted head-of-line flits whose (corrupt) arrival is
      *  due by @p now: NACK turnaround, bounded exponential backoff,
      *  reserialization. Loops until the head is clean or its arrival
-     *  is in the future. */
+     *  is in the future. @pre advance(now) has run. */
     void reliabilityAdvance(Cycle now);
 
     /** Process scheduled faults (lock loss, hard failure) with cycles
@@ -409,8 +426,25 @@ class OpticalLink
     };
 
     /** Walk the transition state machine up to @p now (processing any
-     *  scheduled faults first, at their exact cycles). */
-    void advance(Cycle now);
+     *  scheduled faults first, at their exact cycles). Below the event
+     *  horizon the walk would find nothing to do, so it is skipped. */
+    void advance(Cycle now)
+    {
+        if (now >= dueAt_)
+            advanceSlow(now);
+    }
+
+    /** The walk itself; leaves dueAt_ > now. */
+    void advanceSlow(Cycle now);
+
+    /** The earliest cycle at which advance() has work, recomputed from
+     *  state: the pending wake-settle power step, the end of a
+     *  transition phase, and — faults attached, link alive — the next
+     *  lock loss and the hard failure. */
+    Cycle nextDue() const;
+
+    /** dueAt_ = nextDue(); called wherever one of its inputs changes. */
+    void updateDue() { dueAt_ = nextDue(); }
 
     /** The pre-fault phase walk: complete phases ending by @p now. */
     void phaseAdvance(Cycle now);
@@ -435,6 +469,9 @@ class OpticalLink
     const BitrateLevelTable &levels_;
     Params params_;
     LinkPowerModel powerModel_;
+
+    // Event horizon: advance() below this cycle is a no-op.
+    Cycle dueAt_ = kNeverCycle;
 
     // Transition state.
     Phase phase_ = Phase::kStable;
@@ -467,6 +504,12 @@ class OpticalLink
     std::uint64_t flitsDroppedOnFail_ = 0;
     std::uint64_t flitsDroppedOnFailLifetime_ = 0;
     std::uint64_t windowRetries_ = 0;
+
+    // flitCorruptProb() cache, keyed on the operating point it was
+    // computed at (kInvalid level: empty).
+    int corruptLevel_ = kInvalid;
+    double corruptFrac_ = 0.0;
+    double corruptProb_ = 0.0;
 
     // Serialization / in-flight flits (ring capacity kInflightCap,
     // public above; power of two so the drain walk can mask).

@@ -33,15 +33,24 @@ using TraceData = std::vector<TraceRecord>;
 /** Write @p trace to @p path; fatal() on I/O failure. */
 void saveTrace(const std::string &path, const TraceData &trace);
 
-/** Load a trace; fatal() on I/O or format errors. Records must be
- *  sorted by cycle (verified). */
-TraceData loadTrace(const std::string &path);
+/**
+ * Load a trace for a system of @p num_nodes nodes. Every malformed
+ * record is a fatal() naming file:line — a field that is not a plain
+ * unsigned decimal, an endpoint outside [0, num_nodes), a packet
+ * length outside [1, 65535], a cycle of kNeverCycle, or a record out
+ * of cycle order — so a loaded trace always passes validateTrace().
+ */
+TraceData loadTrace(const std::string &path, int num_nodes);
 
 /** Verify ordering + bounds; panic on violations. */
 void validateTrace(const TraceData &trace, int num_nodes);
 
+/** Most bins traceRateTimeline() will allocate. */
+inline constexpr Cycle kMaxTimelineBins = Cycle{1} << 26;
+
 /** Aggregate injection rate of @p trace binned every @p bin cycles:
- *  element i = packets per cycle in [i*bin, (i+1)*bin). */
+ *  element i = packets per cycle in [i*bin, (i+1)*bin). fatal() if the
+ *  trace spans kMaxTimelineBins bins or more. */
 std::vector<double> traceRateTimeline(const TraceData &trace, Cycle bin);
 
 /** Mean packet length over the trace (flits). */

@@ -11,8 +11,10 @@
  *  - --shards 2: cross-shard channels (bit raised by the destination
  *    pre-pass) beside same-shard direct channels (raised at staging);
  *  - --shards 2 with sim.direct_boundary=off: every edge generic.
- * The single-router stress harness audits after every tick too
- * (tests/router/router_stress_test.cc).
+ * Every link's event horizon (OpticalLink::auditDue) is audited after
+ * each step too; the faulted setup is where lock losses, phase ends
+ * and the hard failure move it. The single-router stress harness
+ * audits masks after every tick (tests/router/router_stress_test.cc).
  */
 
 #include <gtest/gtest.h>
@@ -79,6 +81,8 @@ stepAndAudit(PoeSystem &sys, Cycle cycles)
         sys.run(1);
         for (int r = 0; r < net.numRouters(); r++)
             net.router(r).auditMasks();
+        for (std::size_t l = 0; l < net.numLinks(); l++)
+            net.link(l).auditDue();
     }
 }
 

@@ -17,6 +17,7 @@
 
 #include "core/experiment.hh"
 #include "core/poe_system.hh"
+#include "golden_fingerprint.hh"
 
 using namespace oenet;
 
@@ -236,4 +237,26 @@ TEST(ShardedKernel, RepeatedShardedRunsAreReproducible)
     std::uint64_t b = fingerprint(asymmetricMesh(4, true), 0.8, 5, pb);
     EXPECT_EQ(a, b);
     EXPECT_EQ(pa, pb);
+}
+
+TEST(ShardedKernel, FaultMixGoldenHoldsAcrossShardsAndElision)
+{
+    // The fault-mix golden constants (golden_mesh_test.cc) are pinned
+    // on the serial, elided run; the sharded kernel and the
+    // tick-everything kernel must reproduce the same bytes.
+    for (int shards : {1, 2}) {
+        for (bool elision : {true, false}) {
+            if (shards == 1 && elision)
+                continue; // GoldenMesh.FaultMixMatchesPreHorizonBytes
+            SystemConfig c = golden::faultMixConfig();
+            c.shards = shards;
+            c.idleElision = elision;
+            EXPECT_EQ(golden::fingerprintRun(c, 0.3, 13),
+                      golden::kFaultMixRate03)
+                << "shards=" << shards << " elision=" << elision;
+            EXPECT_EQ(golden::fingerprintRun(c, 0.8, 13),
+                      golden::kFaultMixRate08)
+                << "shards=" << shards << " elision=" << elision;
+        }
+    }
 }
