@@ -30,6 +30,7 @@
 #include <vector>
 
 #include "core/experiment.hh"
+#include "sim/kernel.hh"
 #include "core/poe_system.hh"
 #include "network/boundary.hh"
 #include "network/power_report.hh"
@@ -465,6 +466,84 @@ BM_BoundaryDrainDirect(benchmark::State &state)
     }
 }
 BENCHMARK(BM_BoundaryDrainDirect);
+
+// The kernel's own bookkeeping at fig7's shape: ~800 components of
+// which ~48 tick in any cycle. In the churn variant a driver (first in
+// tick order) wakes a rotating set of 48 sleepers for the current
+// cycle, and each ticks once and parks again, so every cycle admits 48
+// components mid-pass and parks 48 (the wake edges a flit or credit
+// hand-off raises). In the steady variant the same 48 stay awake and
+// the rest sleep for good. The ticks are nearly free, so the pair
+// prices what the kernel does around them: the churn variant's extra
+// cost is admit and park, which CI bounds against the steady pass via
+// perf_compare.py --expect-ratio.
+constexpr int kKernelSleepers = 800;
+constexpr int kKernelAwake = 48;
+constexpr int kKernelStride = kKernelSleepers / kKernelAwake; // 16
+
+class KernelProbe final : public Ticking
+{
+  public:
+    explicit KernelProbe(bool stay_awake) : stayAwake_(stay_awake) {}
+    void tick(Cycle now) override { last_ = now; }
+    Cycle nextWakeCycle(Cycle now) override
+    {
+        return stayAwake_ ? now + 1 : kNeverCycle;
+    }
+    Cycle last() const { return last_; }
+
+  private:
+    bool stayAwake_;
+    Cycle last_ = 0;
+};
+
+class KernelDriver final : public Ticking
+{
+  public:
+    std::vector<std::unique_ptr<KernelProbe>> *probes = nullptr;
+    void tick(Cycle now) override
+    {
+        if (probes == nullptr)
+            return;
+        auto phase = static_cast<std::size_t>(now % kKernelStride);
+        for (std::size_t j = 0; j < kKernelAwake; j++)
+            (*probes)[j * kKernelStride + phase]->wakeAt(now);
+    }
+};
+
+void
+runKernelShape(benchmark::State &state, bool churn)
+{
+    Kernel kernel;
+    KernelDriver driver;
+    kernel.addTicking(&driver);
+    std::vector<std::unique_ptr<KernelProbe>> probes;
+    for (int i = 0; i < kKernelSleepers; i++) {
+        bool awake = !churn && i % kKernelStride == 0;
+        probes.push_back(std::make_unique<KernelProbe>(awake));
+        kernel.addTicking(probes.back().get());
+    }
+    if (churn)
+        driver.probes = &probes;
+    kernel.run(100);
+    for (auto _ : state)
+        kernel.step();
+    benchmark::DoNotOptimize(probes.front()->last());
+}
+
+void
+BM_KernelWakeChurn(benchmark::State &state)
+{
+    runKernelShape(state, true);
+}
+BENCHMARK(BM_KernelWakeChurn);
+
+void
+BM_KernelSteady(benchmark::State &state)
+{
+    runKernelShape(state, false);
+}
+BENCHMARK(BM_KernelSteady);
 
 // Shared setup for the accounting pair: a 16x16x8 fabric (~5k links,
 // the scale where the scattered OpticalLink objects no longer fit in

@@ -288,9 +288,12 @@ PoeSystem::auditConservation(Cycle settle_limit)
     for (int r = 0; r < network_->numRouters(); r++)
         network_->router(r).auditMasks();
     // Likewise every link's event horizon: a horizon past the next
-    // scheduled event would let a skipped state walk miss it.
+    // scheduled event would let a skipped state walk miss it. And the
+    // kernel's active bitmaps: a bit out of step with its component's
+    // sleep state would skip or double a tick.
     for (std::size_t i = 0; i < network_->numLinks(); i++)
         network_->link(i).auditDue();
+    kernel_.auditActive();
 
     std::uint64_t violations = 0;
 
@@ -317,6 +320,21 @@ PoeSystem::auditConservation(Cycle settle_limit)
              static_cast<unsigned long long>(dropFail),
              static_cast<unsigned long long>(dropDead),
              static_cast<unsigned long long>(inflight));
+    }
+
+    // Corruption books (lifetime, valid settled or not): every corrupt
+    // copy ends in one replay, is still in flight, or died with its
+    // link. A corrupt copy handed to a receiver as clean breaks this.
+    OpticalLink::CorruptionBooks books = network_->corruptionBooks();
+    if (books.marked != books.replayed + books.inFlight + books.dropped) {
+        violations++;
+        warn("conservation audit: corruption ledger imbalance: "
+             "corrupt marks %llu != replays %llu + corrupt in flight "
+             "%llu + corrupt dropped on fail %llu",
+             static_cast<unsigned long long>(books.marked),
+             static_cast<unsigned long long>(books.replayed),
+             static_cast<unsigned long long>(books.inFlight),
+             static_cast<unsigned long long>(books.dropped));
     }
 
     // Credit restitution — only meaningful once every flit has left

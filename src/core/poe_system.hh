@@ -85,14 +85,19 @@ class PoeSystem final : public PacketSink, public Ticking
      *                          + droppedOnFail + droppedDeadPort
      *                          + still-in-fabric
      *
-     * — and, when the fabric reached quiescence and no link has
-     * hard-failed, that every credit pool was restituted: each router
-     * output VC free and back at its downstream depth, each node
-     * injection VC back at capacity, no pending credits anywhere.
+     * — that every corrupt copy a link ever marked was replayed, is
+     * still in flight, or was dropped by a hard failure
+     * (OpticalLink::CorruptionBooks) — and, when the fabric reached
+     * quiescence and no link has hard-failed, that every credit pool
+     * was restituted: each router output VC free and back at its
+     * downstream depth, each node injection VC back at capacity, no
+     * pending credits anywhere.
      * Each violation is warn()ed (never an abort) and counted.
-     * Before the books, every router's incremental work masks are
-     * checked against its flat state (Router::auditMasks); a stale
-     * mask is a simulator bug and panics.
+     * Before the books, every router's incremental work masks, every
+     * link's event horizon and the kernel's active bitmaps are checked
+     * against their flat state (Router::auditMasks,
+     * OpticalLink::auditDue, Kernel::auditActive); a stale one is a
+     * simulator bug and panics.
      * Detach any trace sink first; the settle cycles emit no events.
      * @return the number of violations (0 = books balance).
      */

@@ -372,6 +372,7 @@ SystemConfig::networkParams() const
                                                numLevels, vmaxV);
     p.shards = shards;
     p.directBoundary = directBoundary;
+    p.faultInjection = fault.enabled;
     p.thermal = thermal;
     return p;
 }

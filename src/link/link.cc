@@ -31,6 +31,7 @@ OpticalLink::OpticalLink(std::string name, LinkKind kind,
     : name_(std::move(name)), kind_(kind), levels_(levels),
       params_(params), powerModel_(params.scheme, params.power)
 {
+    propagation_ = params_.propagationCycles;
     int init = params_.initialLevel;
     if (init == kInvalid)
         init = levels_.maxLevel();
@@ -212,6 +213,16 @@ OpticalLink::setOff(Cycle now, bool off)
                    now + params_.freqTransitionCycles);
         advance(now);
         armReceiverTransitionWake();
+        // A corrupt head held through the gate-off is due again: the
+        // receiver's next poll replays it (an every-cycle poller's
+        // first poll after this wake does the same).
+        if (receiver_ != nullptr && faults_ != nullptr &&
+            inflightCount_ > 0 && inflight_[inflightHead_].corrupt) {
+            Cycle due = inflight_[inflightHead_].arrives;
+            receiver_->wakeAt(due > receiverWakeLead_
+                                  ? due - receiverWakeLead_
+                                  : 0);
+        }
     }
 }
 
@@ -250,15 +261,20 @@ OpticalLink::advanceSlow(Cycle now)
 }
 
 Cycle
-OpticalLink::nextDue() const
+OpticalLink::nextFaultDue() const
 {
-    Cycle due = pendingPowerAt_;
+    if (faults_ == nullptr || failed_)
+        return kNeverCycle;
+    return std::min(faults_->peekLockLoss(faultId_),
+                    faults_->hardFailAtCycle(faultId_));
+}
+
+Cycle
+OpticalLink::nextDue(Cycle fault_due) const
+{
+    Cycle due = std::min(pendingPowerAt_, fault_due);
     if (phase_ != Phase::kStable && phase_ != Phase::kOff)
         due = std::min(due, phaseEnd_);
-    if (faults_ != nullptr && !failed_) {
-        due = std::min(due, faults_->peekLockLoss(faultId_));
-        due = std::min(due, faults_->hardFailAtCycle(faultId_));
-    }
     return due;
 }
 
@@ -267,13 +283,30 @@ OpticalLink::auditDue() const
 {
     // Between entry points the horizon is exact: later would skip a
     // due walk (a correctness bug), earlier would only waste the fast
-    // path but still means a recompute site was missed.
-    Cycle want = nextDue();
-    if (dueAt_ != want)
+    // path but still means a recompute site was missed. Its fault part
+    // is what a parked receiver re-arms from (nextReceiverEventCycle),
+    // so it must be exact too.
+    Cycle fault_want = nextFaultDue();
+    Cycle want = nextDue(fault_want);
+    if (dueAt_ != want || faultDue_ != fault_want)
         panic("OpticalLink %s: stale event horizon (due %llu, next "
-              "event %llu)",
+              "event %llu; fault due %llu, next fault %llu)",
               name_.c_str(), static_cast<unsigned long long>(dueAt_),
-              static_cast<unsigned long long>(want));
+              static_cast<unsigned long long>(want),
+              static_cast<unsigned long long>(faultDue_),
+              static_cast<unsigned long long>(fault_want));
+}
+
+OpticalLink::CorruptionBooks
+OpticalLink::corruptionBooks() const
+{
+    CorruptionBooks books = books_;
+    books.inFlight = 0;
+    for (int i = 0; i < inflightCount_; i++) {
+        if (inflight_[(inflightHead_ + i) & (kInflightCap - 1)].corrupt)
+            books.inFlight++;
+    }
+    return books;
 }
 
 void
@@ -306,8 +339,10 @@ OpticalLink::faultAdvance(Cycle now)
         for (int i = 0; i < inflightCount_; ++i) {
             InFlight &f =
                 inflight_[(inflightHead_ + i) % kInflightCap];
-            if (f.arrives > at)
+            if (f.arrives > at && !f.corrupt) {
                 f.corrupt = true;
+                books_.marked++;
+            }
         }
         if (traceSink_) {
             traceSink_->faultEvent(FaultEvent{
@@ -326,12 +361,15 @@ void
 OpticalLink::failLink(Cycle at)
 {
     failed_ = true;
+    if (failMask_ != nullptr)
+        *failMask_ |= failBit_;
     // Any transition underway will never complete; drop its pending
     // trace report rather than fabricating a completion.
     transitionType_ = nullptr;
     int lost = inflightCount_;
     flitsDroppedOnFail_ += static_cast<std::uint64_t>(lost);
     flitsDroppedOnFailLifetime_ += static_cast<std::uint64_t>(lost);
+    books_.dropped += corruptionBooks().inFlight;
     inflightCount_ = 0;
     enterPhase(Phase::kOff, at, kNeverCycle);
     if (traceSink_) {
@@ -379,28 +417,41 @@ OpticalLink::accept(Cycle now, const Flit &flit)
         panic("OpticalLink %s: in-flight ring overflow", name_.c_str());
     if (static_cast<double>(now) + 1.0 <= nextFree_ + 1e-9)
         panic("OpticalLink %s: accept while serializing", name_.c_str());
+    send(now, flit);
+}
 
+void
+OpticalLink::send(Cycle now, const Flit &flit)
+{
     // Serialization begins the instant the transmitter frees up, which
     // may fall fractionally inside this cycle; keeping the fraction is
-    // what makes the saturated rate equal the level's bit rate.
-    double cpf = cyclesPerFlit(currentBitRateGbps());
-    nextFree_ = std::max(nextFree_, static_cast<double>(now)) + cpf;
+    // what makes the saturated rate equal the level's bit rate. The
+    // per-flit time is cached per serializing level (the level
+    // currentBitRateGbps reads).
+    int level = phase_ == Phase::kVoltRampUp ? fromLevel_ : toLevel_;
+    if (level != cpfLevel_) {
+        cpfLevel_ = level;
+        cpf_ = cyclesPerFlit(levels_.level(level).brGbps);
+    }
+    nextFree_ = std::max(nextFree_, static_cast<double>(now)) + cpf_;
 
-    Cycle arrives = params_.propagationCycles +
+    Cycle arrives = propagation_ +
                     static_cast<Cycle>(std::ceil(nextFree_ - 1e-9));
     if (arrives <= lastArrival_)
         arrives = lastArrival_ + 1;
     lastArrival_ = arrives;
 
-    int slot = (inflightHead_ + inflightCount_) % kInflightCap;
+    int slot = (inflightHead_ + inflightCount_) & (kInflightCap - 1);
     InFlight &f = inflight_[slot];
     f.flit = flit;
     f.arrives = arrives;
     f.attempts = 0;
     f.corrupt = faults_ != nullptr &&
                 faults_->drawFlitCorrupt(faultId_, flitCorruptProb());
-    if (f.corrupt)
+    if (f.corrupt) {
         flitsCorrupted_++;
+        books_.marked++;
+    }
     inflightCount_++;
 
     windowFlits_++;
@@ -418,25 +469,7 @@ OpticalLink::accept(Cycle now, const Flit &flit)
         receiver_->wakeAt(arrives > receiverWakeLead_
                               ? arrives - receiverWakeLead_
                               : 0);
-    arrivalFlag_.raise();
-}
-
-Cycle
-OpticalLink::nextReceiverEventCycle() const
-{
-    Cycle next = kNeverCycle;
-    if (inflightCount_ > 0)
-        next = inflight_[inflightHead_].arrives;
-    if (faults_ != nullptr && !failed_) {
-        // An every-cycle poller would discover these during its
-        // hasArrival() walk; a parked receiver must come back at the
-        // same cycles so counters and trace emission land identically.
-        next = std::min(next, faults_->peekLockLoss(faultId_));
-        next = std::min(next, faults_->hardFailAtCycle(faultId_));
-        if (phase_ != Phase::kStable && phase_ != Phase::kOff)
-            next = std::min(next, phaseEnd_);
-    }
-    return next;
+    arrivalFlag_.raise(arrives);
 }
 
 double
@@ -480,6 +513,7 @@ OpticalLink::reliabilityAdvance(Cycle now)
         head.attempts++;
         flitRetries_++;
         windowRetries_++;
+        books_.replayed++;
         if (traceSink_) {
             traceSink_->faultEvent(FaultEvent{head.arrives, traceId_,
                                               "corrupt", head.attempts,
@@ -504,8 +538,10 @@ OpticalLink::reliabilityAdvance(Cycle now)
             lastArrival_ = arrives;
         head.corrupt =
             faults_->drawFlitCorrupt(faultId_, flitCorruptProb());
-        if (head.corrupt)
+        if (head.corrupt) {
             flitsCorrupted_++;
+            books_.marked++;
+        }
         if (traceSink_) {
             traceSink_->faultEvent(FaultEvent{
                 static_cast<Cycle>(start), traceId_, "retry",

@@ -50,6 +50,7 @@
 #ifndef OENET_LINK_LINK_HH
 #define OENET_LINK_LINK_HH
 
+#include <algorithm>
 #include <string>
 
 #include "common/stats.hh"
@@ -118,12 +119,61 @@ class OpticalLink
     bool canAccept(Cycle now)
     {
         advance(now);
-        return enabledNow() && inflightCount_ < kInflightCap &&
-               static_cast<double>(now) + 1.0 > nextFree_ + 1e-9;
+        return ready(now);
     }
 
     /** Hand one flit to the link. @pre canAccept(now). */
     void accept(Cycle now, const Flit &flit);
+
+    /** canAccept + accept in one call: hand @p flit over if the link
+     *  can take it this cycle and return whether it did. */
+    bool trySend(Cycle now, const Flit &flit)
+    {
+        advance(now);
+        if (!ready(now))
+            return false;
+        send(now, flit);
+        return true;
+    }
+
+    /**
+     * After a trySend at @p now (taken or refused): the first cycle
+     * another can succeed or reach the link's state walk. A serializing link frees
+     * up at a cycle fixed by nextFree_, which only grows; the walk is
+     * due at the event horizon. A disabled or full link answers now+1.
+     */
+    Cycle nextSendCycle(Cycle now) const
+    {
+        Cycle next = now + 1;
+        // ready(t) holds from t = floor(nextFree_ + 1e-9) on (the
+        // operand is positive, so the conversion is the floor).
+        if (enabledNow() && inflightCount_ < kInflightCap)
+            next = std::max(next, static_cast<Cycle>(nextFree_ + 1e-9));
+        return std::min(next, dueAt_);
+    }
+
+    /**
+     * Attach the sender's retry hold (null detaches): a cycle before
+     * which the sender does not call trySend, set from
+     * nextSendCycle. The link lowers it to the event horizon whenever
+     * the horizon moves (a power-control call or a walk), so a held
+     * sender still reaches every walk at its cycle. The link and its
+     * sender share a thread, so this is a plain write.
+     */
+    void setSendHold(Cycle *hold) { sendHold_ = hold; }
+
+    /**
+     * Attach the sender's dead-output flag (null detaches): the link
+     * sets bit @p bit of @p *mask when it hard-fails, in the same walk
+     * that sets isFailed(), so the sender reads which outputs are dead
+     * without touching the link. Same thread as the sender, like
+     * setSendHold.
+     */
+    void setFailFlag(std::uint64_t *mask, int bit)
+    {
+        failMask_ = mask;
+        failBit_ = std::uint64_t{1} << bit;
+    }
 
     // ------------------------------------------------------------------
     // Data path: receiver side
@@ -142,7 +192,9 @@ class OpticalLink
                 inflight_[inflightHead_].arrives <= now)
                 reliabilityAdvance(now);
         }
-        return inflightCount_ > 0 &&
+        // A corrupt head is never deliverable: it is still due only
+        // while the link is gated off, and replays once it wakes.
+        return inflightCount_ > 0 && !inflight_[inflightHead_].corrupt &&
                inflight_[inflightHead_].arrives <= now;
     }
 
@@ -193,6 +245,23 @@ class OpticalLink
     /** Flits accepted but not yet popped by the receiver. */
     int inFlight() const { return inflightCount_; }
 
+    /** Arrival stamp of the oldest flit in flight. @pre inFlight() > 0. */
+    Cycle headArrival() const { return inflight_[inflightHead_].arrives; }
+
+    /**
+     * With a fault injector attached: the first cycle at which a
+     * receiver's poll (hasArrival, drainArrivalsDue) can do anything —
+     * the event horizon, where the poll walks the link, or the head's
+     * arrival. A poll before it changes nothing, so a receiver that
+     * keeps this in its ArrivalFlag due slot skips it; the link lowers
+     * the slot whenever a send or a horizon move makes it earlier.
+     */
+    Cycle nextPollCycle() const
+    {
+        return inflightCount_ > 0 ? std::min(dueAt_, headArrival())
+                                  : dueAt_;
+    }
+
     /**
      * Attach the receiving component (null detaches). accept() wakes
      * it at the flit's arrival cycle, so a receiver parked by the
@@ -229,7 +298,26 @@ class OpticalLink
      * this; the extra fault/phase terms keep lazily-emitted trace
      * events at the same file positions as an every-cycle poller.
      */
-    Cycle nextReceiverEventCycle() const;
+    Cycle nextReceiverEventCycle() const
+    {
+        Cycle next = kNeverCycle;
+        // A corrupt head held while the link is gated off is not an
+        // event: it replays after the wake, which re-arms the receiver
+        // (setOff), so the receiver does not spin on it meanwhile.
+        if (inflightCount_ > 0 && !(inflight_[inflightHead_].corrupt &&
+                                    phase_ == Phase::kOff))
+            next = inflight_[inflightHead_].arrives;
+        if (faults_ != nullptr && !failed_) {
+            // An every-cycle poller would discover these during its
+            // hasArrival() walk; a parked receiver must come back at
+            // the same cycles so counters and trace emission land
+            // identically.
+            next = std::min(next, faultDue_);
+            if (phase_ != Phase::kStable && phase_ != Phase::kOff)
+                next = std::min(next, phaseEnd_);
+        }
+        return next;
+    }
 
     // ------------------------------------------------------------------
     // Power control
@@ -307,13 +395,28 @@ class OpticalLink
         return flitsDroppedOnFailLifetime_;
     }
 
+    /** The link's corruption books over its whole life (never cleared
+     *  by resetStats). Every corrupt mark — a corruption draw that
+     *  fired, or a clean copy scrambled by a lock loss — ends in
+     *  exactly one replay, is still in flight, or died with the link:
+     *  marked == replayed + inFlight + dropped. */
+    struct CorruptionBooks
+    {
+        std::uint64_t marked = 0;
+        std::uint64_t replayed = 0;
+        std::uint64_t inFlight = 0;
+        std::uint64_t dropped = 0;
+    };
+    CorruptionBooks corruptionBooks() const;
+
     /** Retransmissions since the last beginWindow() (DVS clamp
      *  input). */
     std::uint64_t windowRetries() const { return windowRetries_; }
 
     /**
-     * Check the event horizon against the next scheduled event
-     * recomputed from the link's state; panic unless they are equal.
+     * Check the event horizon (and its fault-event part) against the
+     * next scheduled event recomputed from the link's state; panic
+     * unless they are equal.
      * A later horizon would let a skipped walk miss work; an earlier
      * one means a recompute site was missed. Run per link by
      * PoeSystem::auditConservation.
@@ -393,6 +496,69 @@ class OpticalLink
     const Params &params() const { return params_; }
 
   private:
+    enum class Phase
+    {
+        kStable,
+        kVoltRampUp,  ///< voltage rising ahead of a frequency increase
+        kFreqSwitch,  ///< CDR relock; link disabled
+        kVoltRampDown, ///< voltage falling after a frequency decrease
+        kOff           ///< power-gated (on/off policy extension)
+    };
+
+    struct InFlight
+    {
+        Flit flit;
+        Cycle arrives;
+        int attempts = 0; ///< retransmissions so far
+        bool corrupt = false;
+    };
+
+    // ------------------------------------------------------------------
+    // Hot block: everything a poll, canAccept/trySend and accept touch,
+    // packed at the front of the object.
+    // ------------------------------------------------------------------
+
+    Cycle dueAt_ = kNeverCycle; ///< event horizon: advance() below it is a no-op
+    Cycle *sendHold_ = nullptr; ///< sender's retry hold (setSendHold)
+    Cycle propagation_ = 1;     ///< params_.propagationCycles
+    /** Fault part of the horizon: the next lock loss or the hard
+     *  failure (kNeverCycle without faults or once failed). */
+    Cycle faultDue_ = kNeverCycle;
+    double nextFree_ = 0.0; ///< earliest cycle the transmitter is free
+    double cpf_ = 0.0;      ///< cyclesPerFlit at level cpfLevel_
+    int cpfLevel_ = kInvalid;
+    Phase phase_ = Phase::kStable;
+    int fromLevel_ = 0;
+    int toLevel_ = 0;
+    int inflightHead_ = 0;
+    int inflightCount_ = 0;
+    Cycle lastArrival_ = 0;
+    std::uint64_t windowFlits_ = 0;
+    std::uint64_t totalFlits_ = 0;
+    // Receiver wake edge (idle elision) and arrival-due bit.
+    Ticking *receiver_ = nullptr;
+    Cycle receiverWakeLead_ = 0;
+    ArrivalFlag arrivalFlag_;
+    FaultInjector *faults_ = nullptr;
+    bool failed_ = false;
+    // System power ledger mirror (null when detached).
+    LinkPowerLedger *ledger_ = nullptr;
+    int ledgerId_ = kInvalid;
+    // Serialization / in-flight flits (ring capacity kInflightCap,
+    // public above; power of two so the drain walk can mask).
+    InFlight inflight_[kInflightCap];
+
+    /** True if the transmitter can take a flit this cycle.
+     *  @pre advance(now) has run. */
+    bool ready(Cycle now) const
+    {
+        return enabledNow() && inflightCount_ < kInflightCap &&
+               static_cast<double>(now) + 1.0 > nextFree_ + 1e-9;
+    }
+
+    /** accept() past its checks. @pre ready(now). */
+    void send(Cycle now, const Flit &flit);
+
     /** Per-flit corruption probability at the current operating point:
      *  flitErrorProb over the margin-derived BER. Cached per operating
      *  point (level used, received fraction): libm runs again only
@@ -416,15 +582,6 @@ class OpticalLink
      *  phase (fault-attached links only; see the definition). */
     void armReceiverTransitionWake();
 
-    enum class Phase
-    {
-        kStable,
-        kVoltRampUp,  ///< voltage rising ahead of a frequency increase
-        kFreqSwitch,  ///< CDR relock; link disabled
-        kVoltRampDown, ///< voltage falling after a frequency decrease
-        kOff           ///< power-gated (on/off policy extension)
-    };
-
     /** Walk the transition state machine up to @p now (processing any
      *  scheduled faults first, at their exact cycles). Below the event
      *  horizon the walk would find nothing to do, so it is skipped. */
@@ -437,14 +594,26 @@ class OpticalLink
     /** The walk itself; leaves dueAt_ > now. */
     void advanceSlow(Cycle now);
 
-    /** The earliest cycle at which advance() has work, recomputed from
-     *  state: the pending wake-settle power step, the end of a
-     *  transition phase, and — faults attached, link alive — the next
-     *  lock loss and the hard failure. */
-    Cycle nextDue() const;
+    /** The next lock loss or hard failure, from the injector
+     *  (kNeverCycle without faults or once failed). */
+    Cycle nextFaultDue() const;
 
-    /** dueAt_ = nextDue(); called wherever one of its inputs changes. */
-    void updateDue() { dueAt_ = nextDue(); }
+    /** The earliest cycle at which advance() has work, given its fault
+     *  part @p fault_due: the pending wake-settle power step, the end
+     *  of a transition phase, and the next fault event. */
+    Cycle nextDue(Cycle fault_due) const;
+
+    /** Recompute faultDue_ and dueAt_ from state; called wherever one
+     *  of their inputs changes. */
+    void updateDue()
+    {
+        faultDue_ = nextFaultDue();
+        dueAt_ = nextDue(faultDue_);
+        if (sendHold_ != nullptr && *sendHold_ > dueAt_)
+            *sendHold_ = dueAt_;
+        if (faults_ != nullptr)
+            arrivalFlag_.lowerDue(dueAt_); // a receiver poll walks there
+    }
 
     /** The pre-fault phase walk: complete phases ending by @p now. */
     void phaseAdvance(Cycle now);
@@ -470,14 +639,8 @@ class OpticalLink
     Params params_;
     LinkPowerModel powerModel_;
 
-    // Event horizon: advance() below this cycle is a no-op.
-    Cycle dueAt_ = kNeverCycle;
-
-    // Transition state.
-    Phase phase_ = Phase::kStable;
+    // Transition state (phase and levels live in the hot block).
     Cycle phaseEnd_ = 0;
-    int fromLevel_ = 0;
-    int toLevel_ = 0;
     double opticalScale_ = 1.0;
     std::uint64_t numTransitions_ = 0;
 
@@ -489,21 +652,17 @@ class OpticalLink
     int transitionFrom_ = 0;
     const char *transitionType_ = nullptr;
 
-    // Receiver wake edge (idle elision) and arrival-due bit.
-    Ticking *receiver_ = nullptr;
-    ArrivalFlag arrivalFlag_;
-    Cycle receiverWakeLead_ = 0;
-
     // Faults / reliability.
-    FaultInjector *faults_ = nullptr;
     int faultId_ = kInvalid;
-    bool failed_ = false;
+    std::uint64_t *failMask_ = nullptr; ///< sender's dead outputs (setFailFlag)
+    std::uint64_t failBit_ = 0;
     std::uint64_t flitsCorrupted_ = 0;
     std::uint64_t flitRetries_ = 0;
     std::uint64_t lockLossEvents_ = 0;
     std::uint64_t flitsDroppedOnFail_ = 0;
     std::uint64_t flitsDroppedOnFailLifetime_ = 0;
     std::uint64_t windowRetries_ = 0;
+    CorruptionBooks books_; ///< lifetime; inFlight is computed on read
 
     // flitCorruptProb() cache, keyed on the operating point it was
     // computed at (kInvalid level: empty).
@@ -511,33 +670,13 @@ class OpticalLink
     double corruptFrac_ = 0.0;
     double corruptProb_ = 0.0;
 
-    // Serialization / in-flight flits (ring capacity kInflightCap,
-    // public above; power of two so the drain walk can mask).
     static_assert((kInflightCap & (kInflightCap - 1)) == 0);
-    double nextFree_ = 0.0; ///< earliest cycle the transmitter is free
-    struct InFlight
-    {
-        Flit flit;
-        Cycle arrives;
-        int attempts = 0; ///< retransmissions so far
-        bool corrupt = false;
-    };
-    InFlight inflight_[kInflightCap];
-    int inflightHead_ = 0;
-    int inflightCount_ = 0;
-    Cycle lastArrival_ = 0;
 
     // Accounting.
     TimeWeighted powerTw_;    ///< mW, piecewise constant
     TimeWeighted capacityTw_; ///< flits/cycle the link could move
-    std::uint64_t windowFlits_ = 0;
-    std::uint64_t totalFlits_ = 0;
     double windowCapBase_ = 0.0;
     Cycle windowStart_ = 0;
-
-    // System power ledger mirror (null when detached).
-    LinkPowerLedger *ledger_ = nullptr;
-    int ledgerId_ = kInvalid;
 
     // Wake-settle accounting (see Params::wakeSettleCycles). While the
     // transmitter settles after a wake from kOff, the power step to the

@@ -2,8 +2,8 @@
  * @file
  * Deterministic boundary exchange for the sharded kernel.
  *
- * Every inter-router link is received through a two-piece proxy
- * instead of the destination router polling the link directly:
+ * An inter-router link that needs it is received through a two-piece
+ * proxy instead of the destination router polling the link directly:
  *
  *   LinkShuttle       a Ticking in the *source* router's shard. Its
  *                     tick at cycle t pops every flit the link delivers
@@ -25,12 +25,26 @@
  * disjoint index ranges in any given phase, and the kernel's phase
  * barrier supplies the happens-before edge across the publish.
  *
- * The proxy is used for every inter-router link at every shard count,
- * including --shards 1 and links whose endpoints share a shard: the
- * shuttle's poll of hasArrival(now + 1) is what fixes the link walk's
- * RNG draw cycles and trace emission points, so it can never be
- * bypassed. What *is* specialized is the publication machinery. A link
- * whose endpoints share a shard runs in **direct mode** (setDirect):
+ * Which links keep the proxy (Network decides at construction):
+ *
+ *   - every cross-shard link: the channel is the only safe way across
+ *     the phase barrier;
+ *   - every link when a fault injector will attach
+ *     (Network::Params::faultInjection): a fault-attached link's walk
+ *     draws RNG and emits trace events when it is polled, and the
+ *     shuttle's poll of hasArrival(now + 1) is what fixes those draw
+ *     cycles and emission points at any shard count;
+ *   - every link with sim.direct_boundary=off (verification only).
+ *
+ * A fault-free link whose endpoints share a shard has no proxy: the
+ * destination router polls it as it polls an injection link. Without
+ * faults a receiver's poll never walks the link, draws RNG or emits a
+ * trace event, so there is no order for a shuttle to fix, and delivery
+ * and credit timing are the same as through the proxy.
+ *
+ * Among the proxied links, what is specialized is the publication
+ * machinery. A link whose endpoints share a shard runs in **direct
+ * mode** (setDirect):
  * staged flits are published immediately (the destination router ticks
  * before the shuttle within a cycle, so it cannot observe them early),
  * credits forward synchronously (they are time-stamped, so application
@@ -124,7 +138,7 @@ class BoundaryChannel final : public CreditSink
         arrivals_[pendEnd_++ & kArrivalMask] = flit;
         if (direct_) {
             readyEnd_ = pendEnd_;
-            arrivalFlag_.raise();
+            arrivalFlag_.raise(0);
         } else {
             arrivalsDirty_ = true;
         }
@@ -195,7 +209,7 @@ class BoundaryChannel final : public CreditSink
     {
         bool flits = hasReadyArrival();
         if (flits)
-            arrivalFlag_.raise();
+            arrivalFlag_.raise(0);
         bool any = flits || failEdge_;
         failEdge_ = false;
         return any;

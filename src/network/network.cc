@@ -6,7 +6,8 @@
 namespace oenet {
 
 Network::Network(Kernel &kernel, const Params &params)
-    : topo_(makeTopology(params.topo)), levels_(params.levels)
+    : topo_(makeTopology(params.topo)), levels_(params.levels),
+      faultInjection_(params.faultInjection)
 {
     // Routers and nodes.
     routers_.reserve(static_cast<std::size_t>(topo_->numRouters()));
@@ -22,6 +23,10 @@ Network::Network(Kernel &kernel, const Params &params)
     for (int n = 0; n < topo_->numNodes(); n++)
         nodes_.push_back(std::make_unique<Node>(static_cast<NodeId>(n),
                                                 node_params));
+
+    // The shard partition decides, per inter-router link, whether the
+    // link needs a boundary shuttle, so it comes before the links.
+    shardOf_ = topo_->partition(params.shards);
 
     // Links. Each registers with the SoA power ledger in enumeration
     // order, so ledger ids equal link/trace ids.
@@ -59,11 +64,25 @@ Network::Network(Kernel &kernel, const Params &params)
                 spec.dstRouter)];
             src.connectOutput(spec.srcPort.value(), link.get(),
                               vc_depth);
-            // Every inter-router link is received through a boundary
-            // channel + shuttle — at every shard count, even when both
-            // ends share a shard. Delivery and credit timing are
-            // unchanged; the uniform call sequence is what keeps
-            // output byte-identical at any --shards (boundary.hh).
+            int src_domain = 1 + shardOf_[static_cast<std::size_t>(
+                                     spec.srcRouter)];
+            int dst_domain = 1 + shardOf_[static_cast<std::size_t>(
+                                     spec.dstRouter)];
+            if (!params.faultInjection && params.directBoundary &&
+                src_domain == dst_domain) {
+                // Shuttle-free edge: the destination router polls the
+                // link as it polls an injection link. Without faults a
+                // receiver's poll never walks the link, draws RNG or
+                // emits a trace event, so the shuttle would fix no
+                // order; delivery and credit timing are the same.
+                dst.connectInput(spec.dstPort.value(), link.get(), &src,
+                                 spec.srcPort.value());
+                break;
+            }
+            // Cross-shard or fault-attached edge (or direct boundary
+            // off): received through a boundary channel + shuttle,
+            // whose poll of hasArrival(now + 1) fixes the link walk's
+            // RNG draw cycles and trace emission points (boundary.hh).
             auto chan = std::make_unique<BoundaryChannel>(
                 link.get(), &src, spec.srcPort.value());
             auto shuttle = std::make_unique<LinkShuttle>(link.get(),
@@ -73,8 +92,7 @@ Network::Network(Kernel &kernel, const Params &params)
             dst.connectInputBoundary(spec.dstPort.value(), link.get(),
                                      chan.get(), spec.srcPort.value());
             edges_.push_back(BoundaryEdge{chan.get(), shuttle.get(),
-                                          spec.srcRouter,
-                                          spec.dstRouter, &dst});
+                                          src_domain, dst_domain, &dst});
             channels_.push_back(std::move(chan));
             shuttles_.push_back(std::move(shuttle));
             break;
@@ -119,7 +137,6 @@ Network::configureSharding(Kernel &kernel, int shards,
                            bool direct_boundary)
 {
     kernel.configureSharding(shards);
-    shardOf_ = topo_->partition(shards);
 
     // Components land in domain 1 + shard: routers by the partition
     // map, nodes with their router (injection/ejection links never
@@ -133,27 +150,16 @@ Network::configureSharding(Kernel &kernel, int shards,
             nodes_[static_cast<std::size_t>(n)].get(),
             1 + shardOf_[static_cast<std::size_t>(topo_->routerOf(
                     static_cast<NodeId>(n)))]);
-    // BoundaryEdge domains are kernel domains (1 + shard) from here on.
-    for (auto &e : edges_) {
-        e.srcDomain = 1 + shardOf_[static_cast<std::size_t>(e.srcDomain)];
-        e.dstDomain = 1 + shardOf_[static_cast<std::size_t>(e.dstDomain)];
-    }
-    std::size_t edge_idx = 0;
-    for (const auto &spec : specs_) {
-        if (spec.kind != LinkKind::kInterRouter)
-            continue;
-        kernel.setDomain(shuttles_[edge_idx].get(),
-                         1 + shardOf_[static_cast<std::size_t>(
-                                 spec.srcRouter)]);
-        edge_idx++;
-    }
+    for (const auto &e : edges_)
+        kernel.setDomain(e.shuttle, e.srcDomain);
 
-    // Edges whose endpoints share a shard switch to direct mode: the
-    // shuttle stays (it fixes the link walk's RNG/trace cycles), but
-    // publication is immediate, credits forward synchronously, and the
-    // per-cycle pre/post-pass hooks below skip the edge entirely. The
-    // call sequence is identical either way (boundary.hh); at
-    // --shards 1 every edge is direct and the hooks vanish.
+    // Shuttled edges whose endpoints share a shard (fault-attached
+    // ones) switch to direct mode: the shuttle stays (it fixes the
+    // link walk's RNG/trace cycles), but publication is immediate,
+    // credits forward synchronously, and the per-cycle pre/post-pass
+    // hooks below skip the edge entirely. The call sequence is
+    // identical either way (boundary.hh); at --shards 1 every edge is
+    // direct or shuttle-free and the hooks vanish.
     // sim.direct_boundary=off keeps every edge on the generic path so
     // the equivalence can be soaked end to end.
     crossEdges_.clear();
@@ -276,6 +282,11 @@ Network::traceLinkTable() const
 void
 Network::setFaultInjector(FaultInjector *faults)
 {
+    if (faults != nullptr && !faultInjection_)
+        panic("Network::setFaultInjector: this network was built "
+              "without Params::faultInjection, so its same-shard "
+              "inter-router links have no shuttle to fix the fault "
+              "walk's RNG and trace order");
     for (std::size_t i = 0; i < links_.size(); i++)
         links_[i]->setFault(faults, static_cast<int>(i));
     Cycle orphan =
@@ -284,6 +295,8 @@ Network::setFaultInjector(FaultInjector *faults)
         r->setOrphanTimeout(orphan);
         r->setFaultsAttached(faults != nullptr);
     }
+    for (auto &n : nodes_)
+        n->setFaultsAttached(faults != nullptr);
     if (faults != nullptr && ledgerActive_) {
         // Scheduled faults are processed at exact cycles inside each
         // link's lazy advance, and fault-attached links are advanced
@@ -323,6 +336,20 @@ Network::flitRetries() const
     for (const auto &l : links_)
         n += l->flitRetries();
     return n;
+}
+
+OpticalLink::CorruptionBooks
+Network::corruptionBooks() const
+{
+    OpticalLink::CorruptionBooks sum;
+    for (const auto &l : links_) {
+        OpticalLink::CorruptionBooks b = l->corruptionBooks();
+        sum.marked += b.marked;
+        sum.replayed += b.replayed;
+        sum.inFlight += b.inFlight;
+        sum.dropped += b.dropped;
+    }
+    return sum;
 }
 
 std::uint64_t

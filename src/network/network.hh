@@ -45,10 +45,18 @@ class Network
          *  threads, same phase structure). Output is byte-identical
          *  at every value; see docs/DETERMINISM.md. */
         int shards = 1;
-        /** Zero-copy direct channel mode on same-shard boundary
-         *  edges; off forces the generic cross-shard machinery
-         *  everywhere (bit-identical output, verification only). */
+        /** Same-shard inter-router edges skip the cross-shard
+         *  machinery: without fault injection the destination router
+         *  polls the link itself, with it the edge's channel runs in
+         *  direct mode. Off forces the generic cross-shard machinery
+         *  (channel + shuttle) on every edge (bit-identical output,
+         *  verification only). */
         bool directBoundary = true;
+        /** A fault injector will attach (Network::setFaultInjector).
+         *  Derived from SystemConfig::fault.enabled, not a knob of its
+         *  own: it decides at construction which inter-router edges
+         *  need a shuttle (boundary.hh). */
+        bool faultInjection = false;
         /** Leakage + thermal model (phy/thermal.hh); disabled by
          *  default, which keeps every output byte-identical to the
          *  leakage-free era. */
@@ -100,7 +108,9 @@ class Network
     /**
      * Attach the system's fault injector to every link (per-link
      * stream index = link index, same as the trace id) and arm the
-     * routers' stranded-wormhole reclaim. Null detaches.
+     * routers' stranded-wormhole reclaim. Null detaches. Panics on a
+     * network built without Params::faultInjection: its shuttle-free
+     * edges have nothing to fix the fault walk's RNG and trace order.
      */
     void setFaultInjector(FaultInjector *faults);
 
@@ -182,6 +192,10 @@ class Network
     /** Link-layer retransmissions, all links. */
     std::uint64_t flitRetries() const;
 
+    /** Lifetime corruption books summed over all links (see
+     *  OpticalLink::CorruptionBooks; immune to resetStats). */
+    OpticalLink::CorruptionBooks corruptionBooks() const;
+
     /** CDR loss-of-lock outages, all links. */
     std::uint64_t lockLossEvents() const;
 
@@ -200,6 +214,10 @@ class Network
 
     const BitrateLevelTable &levels() const { return levels_; }
 
+    /** Inter-router links received through a boundary channel and
+     *  shuttle (the others are polled by their destination router). */
+    std::size_t numShuttles() const { return shuttles_.size(); }
+
     /** Shard owning router @p r (0-based; from Topology::partition). */
     int shardOf(int r) const
     {
@@ -207,8 +225,8 @@ class Network
     }
 
   private:
-    /** Wire boundary channels/shuttles over every inter-router link,
-     *  partition the fabric, and install the kernel's shard hooks. */
+    /** Place components in their shard domains, pick each shuttled
+     *  edge's channel mode, and install the kernel's shard hooks. */
     void configureSharding(Kernel &kernel, int shards,
                            bool direct_boundary);
 
@@ -219,13 +237,16 @@ class Network
     std::vector<std::unique_ptr<Node>> nodes_;
     std::vector<std::unique_ptr<OpticalLink>> links_;
 
-    // Boundary exchange (one channel + shuttle per inter-router link,
-    // in link-enumeration order — the canonical boundary-merge order).
+    // Boundary exchange: one channel + shuttle per inter-router link
+    // that needs one (cross-shard, fault-attached, or every edge with
+    // directBoundary off), in link-enumeration order — the canonical
+    // boundary-merge order. Other inter-router links are polled by
+    // their destination router directly.
     struct BoundaryEdge
     {
         BoundaryChannel *channel;
         LinkShuttle *shuttle;
-        int srcDomain; ///< kernel domain of the source router
+        int srcDomain; ///< kernel domain (1 + shard) of the source router
         int dstDomain; ///< kernel domain of the destination router
         Router *dstRouter;
     };
@@ -243,6 +264,7 @@ class Network
     std::vector<std::vector<BoundaryEdge *>> domainIngress_;
     std::vector<std::vector<BoundaryChannel *>> domainEgress_;
     std::vector<int> shardOf_;
+    bool faultInjection_ = false; ///< Params::faultInjection
 
     double baselinePowerMw_ = 0.0;
     PacketId nextPacketId_ = 1;

@@ -10,6 +10,9 @@ Node::Node(NodeId id, const Params &params)
 {
     if (params_.numVcs < 1 || params_.vcDepth < 1)
         fatal("Node %u: bad VC configuration", id);
+    if (params_.numVcs > PendingCredits::kMaxIndex)
+        fatal("Node %u: %d VCs exceed the credit masks", id,
+              params_.numVcs);
     credits_.assign(static_cast<std::size_t>(params_.numVcs),
                     params_.vcDepth);
 }
@@ -27,8 +30,22 @@ Node::connectEjection(OpticalLink *link, CreditSink *upstream,
     ejLink_ = link;
     ejUpstream_ = upstream;
     ejUpstreamPort_ = upstream_port;
-    if (link != nullptr)
-        link->setReceiver(this); // ejection wake edge (idle elision)
+    if (link != nullptr) {
+        // Ejection wake edge (idle elision) plus the due cycle.
+        link->setReceiver(this, ArrivalFlag(nullptr, 0, &ejAt_));
+    }
+}
+
+void
+Node::setFaultsAttached(bool attached)
+{
+    ejPolled_ = attached;
+    if (ejLink_ == nullptr)
+        return;
+    // With faults, poll once; the link's poll hold takes over then.
+    ejAt_ = attached                  ? 0
+            : ejLink_->inFlight() > 0 ? ejLink_->headArrival()
+                                      : kNeverCycle;
 }
 
 void
@@ -45,7 +62,7 @@ Node::enqueuePacket(PacketId id, NodeId dst, int len, Cycle now)
 void
 Node::returnCredit(int, int vc, Cycle now)
 {
-    pendingCredits_.push_back(PendingCredit{vc, now + 1});
+    pending_.add(vc, now);
     wakeAt(now + 1); // credit wake edge: apply it on time if parked
 }
 
@@ -64,19 +81,12 @@ Node::bufferCapacity(int) const
 void
 Node::applyCredits(Cycle now)
 {
-    std::size_t i = 0;
-    while (i < pendingCredits_.size()) {
-        if (pendingCredits_[i].effective <= now) {
-            int vc = pendingCredits_[i].vc;
-            credits_[static_cast<std::size_t>(vc)]++;
-            if (credits_[static_cast<std::size_t>(vc)] > params_.vcDepth)
-                panic("Node %u: credit overflow on vc %d", id_, vc);
-            pendingCredits_[i] = pendingCredits_.back();
-            pendingCredits_.pop_back();
-        } else {
-            i++;
-        }
-    }
+    pending_.apply(now, [this](int vc, int count) {
+        auto v = static_cast<std::size_t>(vc);
+        credits_[v] += count;
+        if (credits_[v] > params_.vcDepth)
+            panic("Node %u: credit overflow on vc %d", id_, vc);
+    });
 }
 
 void
@@ -84,6 +94,8 @@ Node::drainEjection(Cycle now)
 {
     if (ejLink_ == nullptr)
         return;
+    if (ejAt_ > now)
+        return; // nothing has landed, and (with faults) no poll is due
     ejLink_->drainArrivalsDue(now, [this, now](const Flit &flit) {
         // Immediately free the router-side credit for this flit.
         if (ejUpstream_ != nullptr)
@@ -101,6 +113,9 @@ Node::drainEjection(Cycle now)
                 sink_->packetEjected(flit, now);
         }
     });
+    ejAt_ = ejPolled_                   ? ejLink_->nextPollCycle()
+            : ejLink_->inFlight() > 0 ? ejLink_->headArrival()
+                                      : kNeverCycle;
 }
 
 int
@@ -150,7 +165,7 @@ Node::inject(Cycle now)
 void
 Node::tick(Cycle now)
 {
-    if (!pendingCredits_.empty())
+    if (pending_.dueAt(now))
         applyCredits(now);
     drainEjection(now);
     inject(now);
@@ -164,10 +179,13 @@ Node::nextWakeCycle(Cycle now)
     // drained queue was a tail), and pending credits are the only
     // other tick-visible state; everything else is the ejection link's
     // business.
-    if (!sourceQueue_.empty() || !pendingCredits_.empty())
+    if (!sourceQueue_.empty() || !pending_.empty())
         return now + 1;
-    return ejLink_ != nullptr ? ejLink_->nextReceiverEventCycle()
-                              : kNeverCycle;
+    if (ejPolled_ && ejLink_ != nullptr)
+        return ejLink_->nextReceiverEventCycle();
+    // Without faults the link's only receiver event is its head
+    // arrival, which the due cycle already holds (never when empty).
+    return ejAt_;
 }
 
 } // namespace oenet

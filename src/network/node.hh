@@ -59,6 +59,13 @@ class Node final : public Ticking,
 
     void setPacketSink(PacketSink *sink) { sink_ = sink; }
 
+    /** Tell the node whether a fault injector is attached to its
+     *  ejection link (Network::setFaultInjector). Only then is the
+     *  link polled at every awake tick its poll can do anything
+     *  (OpticalLink::nextPollCycle): the poll drives its lazy CRC
+     *  replay and fault walk (OpticalLink::drainArrivalsDue). */
+    void setFaultsAttached(bool attached);
+
     /** Queue a packet of @p len flits for @p dst, created at @p now. */
     void enqueuePacket(PacketId id, NodeId dst, int len, Cycle now);
 
@@ -109,18 +116,9 @@ class Node final : public Ticking,
     int numVcs() const { return params_.numVcs; }
 
     /** Returned credits not yet applied (empty at quiescence). */
-    std::size_t pendingCreditCount() const
-    {
-        return pendingCredits_.size();
-    }
+    std::size_t pendingCreditCount() const { return pending_.size(); }
 
   private:
-    struct PendingCredit
-    {
-        int vc;
-        Cycle effective;
-    };
-
     void drainEjection(Cycle now);
     void inject(Cycle now);
     void applyCredits(Cycle now);
@@ -132,6 +130,12 @@ class Node final : public Ticking,
 
     OpticalLink *injLink_ = nullptr;
     OpticalLink *ejLink_ = nullptr;
+    /** The ejection link's due cycle (ArrivalFlag): without faults its
+     *  head's arrival (kNeverCycle while empty), from which the link is
+     *  drained and at which a parking node wakes; with faults its next
+     *  poll cycle. */
+    Cycle ejAt_ = kNeverCycle;
+    bool ejPolled_ = false; ///< faults attached (see ejAt_)
     CreditSink *ejUpstream_ = nullptr;
     int ejUpstreamPort_ = kInvalid;
     PacketSink *sink_ = nullptr;
@@ -139,7 +143,7 @@ class Node final : public Ticking,
     RingBuffer<Flit> sourceQueue_;
     std::vector<Flit> flitizeScratch_; ///< reused by enqueuePacket
     std::vector<int> credits_;
-    std::vector<PendingCredit> pendingCredits_;
+    PendingCredits pending_; ///< by VC
     int currentVc_ = kInvalid; ///< VC of the packet being injected
     int nextVcRr_ = 0;
 

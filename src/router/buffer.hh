@@ -50,9 +50,19 @@ class FlitSlab
             panic("FlitSlab: underflow on segment %d", seg);
         Flit flit = slab_[s * static_cast<std::size_t>(depth_) +
                           static_cast<std::size_t>(head_[s])];
+        drop(seg);
+        return flit;
+    }
+
+    /** Discard the front flit of @p seg (a caller that copies it out
+     *  with front() first saves pop's by-value return). */
+    void drop(int seg)
+    {
+        auto s = static_cast<std::size_t>(seg);
+        if (size_[s] == 0)
+            panic("FlitSlab: underflow on segment %d", seg);
         head_[s] = head_[s] + 1 == depth_ ? 0 : head_[s] + 1;
         size_[s]--;
-        return flit;
     }
 
     const Flit &front(int seg) const

@@ -39,18 +39,24 @@ Router::Router(std::string name, int router_id, const Topology &topo,
     vcLastActivity_.assign(nflat, 0);
     buffers_.configure(ports * params_.numVcs, vcDepth_);
     portOcc_.assign(nports, 0);
+    occArea_.assign(nports, 0);
+    occSince_.assign(nports, 0);
     inBoundary_.assign(nports, nullptr);
     inDrainLink_.assign(nports, nullptr);
+    arrivalAt_.assign(nports, kNeverCycle);
     outAllocated_.assign(nflat, 0);
     outCredits_.assign(nflat, 0);
     outMaxCredits_.assign(nflat, 0);
     outLink_.assign(nports, nullptr);
+    stHold_.assign(nports, 0);
     latchFull_.assign(nports, 0);
     latch_.assign(nports, Flit{});
     saArb_.resize(nports);
     vaArb_.resize(nports);
     saInputArb_.resize(nports);
     vcBits_ = params_.numVcs >= 64 ? ~0ull : (1ull << params_.numVcs) - 1;
+    for (int f = 0; f < ports * params_.numVcs; f++)
+        flatPort_[f] = static_cast<std::uint8_t>(f / params_.numVcs);
 
     for (int p = 0; p < ports; p++) {
         saArb_[static_cast<std::size_t>(p)].resize(ports);
@@ -70,9 +76,13 @@ Router::connectInput(int port, OpticalLink *link, CreditSink *upstream,
     in.upstream = upstream;
     in.upstreamPort = upstream_port;
     inDrainLink_[static_cast<std::size_t>(port)] = link;
+    linkInputs_ &= ~(1ull << port);
     if (link != nullptr) {
         // Arrival wake edge (idle elision) plus this port's due bit.
-        link->setReceiver(this, ArrivalFlag(&arrivalDue_, port));
+        link->setReceiver(
+            this, ArrivalFlag(&arrivalDue_, port,
+                              &arrivalAt_[static_cast<std::size_t>(port)]));
+        linkInputs_ |= 1ull << port;
     }
 }
 
@@ -88,6 +98,7 @@ Router::connectInputBoundary(int port, OpticalLink *link,
     in.upstream = channel;
     in.upstreamPort = upstream_port;
     inBoundary_[static_cast<std::size_t>(port)] = channel;
+    arrivalAt_[static_cast<std::size_t>(port)] = 0;
     channel->setArrivalFlag(ArrivalFlag(&arrivalDue_, port));
 }
 
@@ -96,11 +107,18 @@ Router::setFaultsAttached(bool attached)
 {
     faultsAttached_ = attached;
     pollMask_ = 0;
-    if (!attached)
-        return;
     for (int p = 0; p < numPorts(); p++) {
-        if (inDrainLink_[static_cast<std::size_t>(p)] != nullptr)
+        auto ps = static_cast<std::size_t>(p);
+        const OpticalLink *l = inDrainLink_[ps];
+        if (l == nullptr)
+            continue;
+        if (attached) {
             pollMask_ |= 1ull << p;
+            arrivalAt_[ps] = 0; // poll once; the hold takes over then
+        } else {
+            arrivalAt_[ps] = l->inFlight() > 0 ? l->headArrival()
+                                               : kNeverCycle;
+        }
     }
 }
 
@@ -118,6 +136,10 @@ Router::connectOutput(int port, OpticalLink *link, int downstream_vc_depth)
     if (port < 0 || port >= numPorts())
         panic("Router %s: bad output port %d", name_.c_str(), port);
     outLink_[static_cast<std::size_t>(port)] = link;
+    if (link != nullptr) {
+        link->setSendHold(&stHold_[static_cast<std::size_t>(port)]);
+        link->setFailFlag(&outDeadMask_, port);
+    }
     for (int v = 0; v < params_.numVcs; v++) {
         int fi = flatIdx(port, v);
         auto f = static_cast<std::size_t>(fi);
@@ -133,15 +155,17 @@ Router::connectOutput(int port, OpticalLink *link, int downstream_vc_depth)
 void
 Router::returnCredit(int port, int vc, Cycle now)
 {
-    pendingCredits_.push_back(PendingCredit{port, vc, now + 1});
+    credits_.add(flatIdx(port, vc), now);
     wakeAt(now + 1); // credit wake edge: apply it on time if parked
 }
 
 double
 Router::occupancyIntegral(int port, Cycle now) const
 {
-    return inputs_.at(static_cast<std::size_t>(port))
-        .occupancy.integral(now);
+    auto ps = static_cast<std::size_t>(port);
+    return static_cast<double>(
+        occArea_.at(ps) +
+        static_cast<std::uint64_t>(portOcc_[ps]) * (now - occSince_[ps]));
 }
 
 int
@@ -239,23 +263,15 @@ Router::totalBufferedFlits() const
 void
 Router::applyCredits(Cycle now)
 {
-    std::size_t i = 0;
-    while (i < pendingCredits_.size()) {
-        const auto &pc = pendingCredits_[i];
-        if (pc.effective <= now) {
-            int fi = flatIdx(pc.port, pc.vc);
-            auto f = static_cast<std::size_t>(fi);
-            outCredits_[f]++;
-            outOpen_ |= 1ull << fi;
-            if (outCredits_[f] > vcDepth_)
-                panic("Router %s: credit overflow on output %d vc %d",
-                      name_.c_str(), pc.port, pc.vc);
-            pendingCredits_[i] = pendingCredits_.back();
-            pendingCredits_.pop_back();
-        } else {
-            i++;
-        }
-    }
+    credits_.apply(now, [this](int fi, int count) {
+        auto f = static_cast<std::size_t>(fi);
+        outCredits_[f] += count;
+        outOpen_ |= 1ull << fi;
+        if (outCredits_[f] > vcDepth_)
+            panic("Router %s: credit overflow on output %d vc %d",
+                  name_.c_str(), fi / params_.numVcs,
+                  fi % params_.numVcs);
+    });
 }
 
 void
@@ -267,26 +283,33 @@ Router::stageSwitchTraversal(Cycle now)
     for (std::uint64_t m = latchMask_; m != 0; m &= m - 1) {
         int q = std::countr_zero(m);
         auto s = static_cast<std::size_t>(q);
+        if (now < stHold_[s])
+            continue; // the link cannot take it yet
         OpticalLink *link = outLink_[s];
         if (link == nullptr)
             panic("Router %s: latched flit on unconnected output",
                   name_.c_str());
-        if (link->canAccept(now)) {
-            link->accept(now, latch_[s]);
+        if (link->trySend(now, latch_[s])) {
             latchFull_[s] = 0;
             latchMask_ &= ~(1ull << q);
             latchCount_--;
+            // The next flit latched here need not try before the link
+            // has serialized this one.
+            stHold_[s] = link->nextSendCycle(now);
         } else if (link->isFailed()) {
             // The link died with this flit waiting; it is lost.
             latchFull_[s] = 0;
             latchMask_ &= ~(1ull << q);
             latchCount_--;
             droppedDeadPort_++;
+        } else {
+            // The flit waits in the latch; SA skips this port.
+            stHold_[s] = link->nextSendCycle(now);
         }
-        // Otherwise the flit waits in the latch; SA skips this port.
     }
 }
 
+template <bool kFaults>
 void
 Router::stageSwitchAllocation(Cycle now)
 {
@@ -297,11 +320,14 @@ Router::stageSwitchAllocation(Cycle now)
     // ports in ascending order with each port's VCs contiguous; ports
     // with nothing ready are never touched. Requests per output port
     // are accumulated as bit masks for stage 2.
+    if (saReady_ == saStuckReady_ && latchMask_ == saStuckLatch_ &&
+        outOpen_ == saStuckOpen_ && outDeadMask_ == saStuckDead_)
+        return;
     std::uint64_t port_requests[kMaxPorts];
     int cand_vc[kMaxPorts];
     std::uint64_t nominated = 0; ///< output ports with a request
     for (std::uint64_t m = saReady_; m != 0;) {
-        int p = std::countr_zero(m) / vcs;
+        int p = flatPort_[std::countr_zero(m)];
         int base = p * vcs;
         std::uint64_t port_bits = m & (vcBits_ << base);
         m &= ~port_bits;
@@ -313,7 +339,7 @@ Router::stageSwitchAllocation(Cycle now)
             // A dead output accepts (and discards) anything, so the
             // wormhole headed there can drain regardless of latch or
             // credit state.
-            if (!outDead(q)) {
+            if (!(kFaults && outDead(q))) {
                 if (latchMask_ >> q & 1)
                     continue;
                 if (!(outOpen_ >> (q * vcs + vcOutVc_[fs]) & 1))
@@ -332,6 +358,22 @@ Router::stageSwitchAllocation(Cycle now)
         port_requests[q] |= 1ull << p;
         cand_vc[p] = winner;
     }
+    if (nominated == 0) {
+        // Every bid is blocked by a full latch or an exhausted output
+        // VC, and no arbiter moved. Without a grant the masks change
+        // one way only (credits open outputs, ST empties latches,
+        // arrivals, VA and poison tails make VCs ready, links die), so
+        // while all four still equal these, nothing changed and SA
+        // stays idle.
+        saStuckReady_ = saReady_;
+        saStuckLatch_ = latchMask_;
+        saStuckOpen_ = outOpen_;
+        saStuckDead_ = outDeadMask_;
+        return;
+    }
+    // A grant may reroute a VC without changing the masks; forget the
+    // stuck state (saReady_ is never 0 here, so 0 never matches).
+    saStuckReady_ = 0;
 
     // Stage 2: each nominated output port picks among its nominating
     // input ports (ascending port order, as a full scan would).
@@ -346,20 +388,25 @@ Router::stageSwitchAllocation(Cycle now)
         int fi = p * vcs + v;
         auto fs = static_cast<std::size_t>(fi);
 
-        Flit flit = buffers_.pop(fi);
+        // The flit moves straight from the buffer into the (empty)
+        // latch and its VC is rewritten there: patching a local copy
+        // and then copying it out would stall that copy on store
+        // forwarding. A flit for a dead output is dropped from the
+        // latch again at once.
+        Flit &flit = latch_[qs];
+        flit = buffers_.front(fi);
+        buffers_.drop(fi);
         bufferedFlits_--;
-        portOcc_[static_cast<std::size_t>(p)]--;
-        in.occupancy.update(now, portOcc_[static_cast<std::size_t>(p)]);
+        changeOccupancy(p, now, -1);
         vcLastActivity_[fs] = now;
         int ov = vcOutVc_[fs];
-        if (outDead(q)) {
+        if (kFaults && outDead(q)) {
             // Flits to a hard-failed link are discarded at the switch;
             // output credits are not touched (the far side will never
             // return them).
             droppedDeadPort_++;
         } else {
             flit.vc = static_cast<std::uint8_t>(ov);
-            latch_[qs] = flit;
             latchFull_[qs] = 1;
             latchMask_ |= 1ull << q;
             latchCount_++;
@@ -373,7 +420,8 @@ Router::stageSwitchAllocation(Cycle now)
         // locally injected poison tail, which never consumed an
         // upstream credit (it was synthesized into the buffer, not
         // sent over the input link).
-        if (in.upstream != nullptr && !(flit.isPoison() && inputFailed(in)))
+        if (in.upstream != nullptr &&
+            !(kFaults && flit.isPoison() && inputFailed(in)))
             in.upstream->returnCredit(in.upstreamPort, v, now);
 
         // The VC stops bidding once drained, or once its wormhole
@@ -556,9 +604,18 @@ Router::stageRouteComputation(Cycle now)
 void
 Router::drainArrivals(Cycle now)
 {
-    // Only ports whose feeder raised the due bit, plus (with faults)
-    // every directly polled link; any other port has nothing due.
+    // Only ports whose feeder raised the due bit and whose next flit
+    // has landed, plus (with faults) every directly polled link whose
+    // poll can do anything this cycle (it drives the lazy fault walk;
+    // arrivalAt_ holds its nextPollCycle, lowered by the link); any
+    // other port has nothing due.
+    std::uint64_t due = 0;
     for (std::uint64_t m = arrivalDue_ | pollMask_; m != 0; m &= m - 1) {
+        int p = std::countr_zero(m);
+        if (arrivalAt_[static_cast<std::size_t>(p)] <= now)
+            due |= 1ull << p;
+    }
+    for (std::uint64_t m = due; m != 0; m &= m - 1) {
         int p = std::countr_zero(m);
         auto deliver = [&](const Flit &flit) {
             int v = flit.vc;
@@ -582,9 +639,7 @@ Router::drainArrivals(Cycle now)
             buffers_.push(fi, flit);
             vcLastActivity_[fs] = now;
             bufferedFlits_++;
-            portOcc_[static_cast<std::size_t>(p)]++;
-            inputs_[static_cast<std::size_t>(p)].occupancy.update(
-                now, portOcc_[static_cast<std::size_t>(p)]);
+            changeOccupancy(p, now, +1);
         };
         if (BoundaryChannel *bc = inBoundary_[static_cast<std::size_t>(p)]) {
             // Channeled input: everything on the ready side has an
@@ -597,9 +652,15 @@ Router::drainArrivals(Cycle now)
             OpticalLink *l = inDrainLink_[static_cast<std::size_t>(p)];
             l->drainArrivalsDue(now, deliver);
             // Flits still on the wire keep the port due: accept()
-            // raised the bit once, at send time.
+            // raised the bit once, at send time, and the new head's
+            // stamp is its due cycle (a polled link's is its next poll
+            // cycle).
             if (l->inFlight() == 0)
                 arrivalDue_ &= ~(1ull << p);
+            arrivalAt_[static_cast<std::size_t>(p)] =
+                pollMask_ >> p & 1 ? l->nextPollCycle()
+                : l->inFlight() > 0 ? l->headArrival()
+                                    : kNeverCycle;
         }
     }
 }
@@ -630,9 +691,7 @@ Router::reclaimOrphans(Cycle now)
             saReady_ |= 1ull << fi;
             vcLastActivity_[fs] = now;
             bufferedFlits_++;
-            portOcc_[static_cast<std::size_t>(p)]++;
-            in.occupancy.update(now,
-                                portOcc_[static_cast<std::size_t>(p)]);
+            changeOccupancy(p, now, +1);
             poisoned_++;
         }
     }
@@ -641,12 +700,16 @@ Router::reclaimOrphans(Cycle now)
 void
 Router::tick(Cycle now)
 {
-    if (!pendingCredits_.empty())
+    if (credits_.dueAt(now))
         applyCredits(now);
     if (latchCount_ > 0)
         stageSwitchTraversal(now);
-    if (saReady_ != 0)
-        stageSwitchAllocation(now);
+    if (saReady_ != 0) {
+        if (faultsAttached_)
+            stageSwitchAllocation<true>(now);
+        else
+            stageSwitchAllocation<false>(now);
+    }
     if (vcAllocCount_ > 0)
         stageVcAllocation(now);
     if (routingCount_ > 0)
@@ -676,6 +739,16 @@ Router::auditMasks() const
         if (latchFull_[static_cast<std::size_t>(q)])
             latched |= 1ull << q;
     }
+    std::uint64_t dead = 0;
+    for (int q = 0; q < ports; q++) {
+        const OpticalLink *l = outLink_[static_cast<std::size_t>(q)];
+        if (l != nullptr && l->isFailed())
+            dead |= 1ull << q;
+    }
+    if (dead != outDeadMask_)
+        panic("Router %s: dead-output mask %#llx, want %#llx",
+              name_.c_str(), static_cast<unsigned long long>(outDeadMask_),
+              static_cast<unsigned long long>(dead));
     if (sa_ready != saReady_ || out_open != outOpen_ ||
         latched != latchMask_)
         panic("Router %s: stale work mask (saReady %#llx want %#llx, "
@@ -707,29 +780,55 @@ Router::auditMasks() const
         if (due != want)
             panic("Router %s: arrival-due bit of input %d is %d, want %d",
                   name_.c_str(), p, due ? 1 : 0, want ? 1 : 0);
+        // A fault-free link's due cycle is its head's stamp, or never
+        // once it is empty; a polled link's is no later than its next
+        // poll cycle (early only costs a no-op poll).
+        const OpticalLink *l = inDrainLink_[ps];
+        if (l == nullptr)
+            continue;
+        Cycle want_at = pollMask_ >> p & 1 ? l->nextPollCycle()
+                        : l->inFlight() > 0 ? l->headArrival()
+                                            : kNeverCycle;
+        if (pollMask_ >> p & 1 ? arrivalAt_[ps] > want_at
+                               : arrivalAt_[ps] != want_at)
+            panic("Router %s: input %d due at %llu, want %llu",
+                  name_.c_str(), p,
+                  static_cast<unsigned long long>(arrivalAt_[ps]),
+                  static_cast<unsigned long long>(want_at));
     }
 }
 
 Cycle
 Router::nextWakeCycle(Cycle now)
 {
-    // Any pipeline population keeps the router in the per-cycle pass.
-    // activeVcCount_ matters even with empty buffers: an open wormhole
-    // may still owe flits (or a poison tail on a failed input link).
+    // Any buffered, latched or routing flit or pending credit keeps the
+    // router in the per-cycle pass. An open wormhole with empty
+    // buffers does too when stranded wormholes are reclaimed (it may
+    // owe a poison tail on a failed input link); otherwise its tick is
+    // a no-op until the next flit lands, which wakes the router.
     if (bufferedFlits_ > 0 || latchCount_ > 0 || routingCount_ > 0 ||
-        vcAllocCount_ > 0 || activeVcCount_ > 0 ||
-        !pendingCredits_.empty())
+        vcAllocCount_ > 0 || (activeVcCount_ > 0 && orphanTimeout_ != 0) ||
+        !credits_.empty())
         return now + 1;
+    // Only directly polled links count: a channeled input's link
+    // belongs to the source shard (reading it here would race its
+    // walk), and every delivery comes with a wake edge instead. Without
+    // faults a link's only receiver event is its head arrival, its
+    // arrival-due bit is up exactly while flits are in flight, and
+    // arrivalAt_ holds the head's stamp, so no link is read; with
+    // faults every polled link may also have a fault or phase event.
     Cycle wake = kNeverCycle;
-    for (const auto &in : inputs_) {
-        // Channeled inputs contribute nothing: their link belongs to
-        // the source shard (reading it here would race its walk), and
-        // every delivery comes with a pre-pass wake edge instead.
-        if (in.boundary != nullptr)
-            continue;
-        if (in.link != nullptr)
-            wake = std::min(wake, in.link->nextReceiverEventCycle());
+    if (faultsAttached_) {
+        for (std::uint64_t m = pollMask_; m != 0; m &= m - 1) {
+            wake = std::min(wake, inDrainLink_[static_cast<std::size_t>(
+                                      std::countr_zero(m))]
+                                      ->nextReceiverEventCycle());
+        }
+        return wake;
     }
+    for (std::uint64_t m = arrivalDue_ & linkInputs_; m != 0; m &= m - 1)
+        wake = std::min(
+            wake, arrivalAt_[static_cast<std::size_t>(std::countr_zero(m))]);
     return wake;
 }
 

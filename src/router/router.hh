@@ -87,12 +87,13 @@ class Router final : public Ticking,
 
     /**
      * Quiescence (idle elision): a router with empty buffers, no
-     * latched flits, no VC in any pipeline state (routing, VC-alloc,
-     * or active — an active VC may still owe a poison tail on a failed
-     * input), and no pending credits has a no-op tick; it parks until
-     * the earliest event any input link could hand it (arrival,
-     * scheduled fault, transition end). Wake edges: a flit accepted
-     * onto an input link (OpticalLink::accept) and a returned credit.
+     * latched flits, no VC routing or in VC allocation, no pending
+     * credits and — when stranded wormholes are reclaimed — no open
+     * wormhole (it may owe a poison tail on a failed input) has a
+     * no-op tick; it parks until the earliest event any input link
+     * could hand it (arrival, scheduled fault, transition end). Wake
+     * edges: a flit accepted onto an input link (OpticalLink::accept),
+     * a boundary delivery and a returned credit.
      */
     Cycle nextWakeCycle(Cycle now) override;
 
@@ -125,10 +126,7 @@ class Router final : public Ticking,
     int outputVcCapacity(int port, int vc) const;
 
     /** Returned credits not yet applied (empty at quiescence). */
-    std::size_t pendingCreditCount() const
-    {
-        return pendingCredits_.size();
-    }
+    std::size_t pendingCreditCount() const { return credits_.size(); }
 
     /** True if output VC is unallocated. */
     bool outputVcFree(int port, int vc) const;
@@ -204,7 +202,6 @@ class Router final : public Ticking,
         BoundaryChannel *boundary = nullptr; ///< set: drain via channel
         CreditSink *upstream = nullptr;
         int upstreamPort = kInvalid;
-        TimeWeighted occupancy;
     };
 
     /** Hard-failure state of the link feeding @p in, through the
@@ -212,18 +209,15 @@ class Router final : public Ticking,
      *  itself may be mid-walk on another shard's thread). */
     static bool inputFailed(const InputPort &in);
 
-    struct PendingCredit
-    {
-        int port;
-        int vc;
-        Cycle effective;
-    };
-
     RouteOption selectRoute(NodeId dst);
     std::uint64_t vcMaskForClass(int vc_class) const;
     void applyCredits(Cycle now);
     void reclaimOrphans(Cycle now);
     void stageSwitchTraversal(Cycle now);
+    /** SA, compiled twice: without faults no output can be dead and no
+     *  poison tail exists, so the kFaults = false copy skips both
+     *  checks. */
+    template <bool kFaults>
     void stageSwitchAllocation(Cycle now);
     void stageVcAllocation(Cycle now);
     void stageRouteComputation(Cycle now);
@@ -236,13 +230,20 @@ class Router final : public Ticking,
         return port * params_.numVcs + vc;
     }
 
-    /** True if output @p q's link has hard-failed. Always false
-     *  without a fault injector, so the link is not even read. */
-    bool outDead(int q) const
+    /** Input @p p's buffer occupancy changes by @p delta at @p now:
+     *  fold the flit-cycles since the last change into its area. */
+    void changeOccupancy(int p, Cycle now, int delta)
     {
-        OpticalLink *l = outLink_[static_cast<std::size_t>(q)];
-        return faultsAttached_ && l != nullptr && l->isFailed();
+        auto ps = static_cast<std::size_t>(p);
+        occArea_[ps] += static_cast<std::uint64_t>(portOcc_[ps]) *
+                        (now - occSince_[ps]);
+        occSince_[ps] = now;
+        portOcc_[ps] += delta;
     }
+
+    /** True if output @p q's link has hard-failed (its bit in
+     *  outDeadMask_, which the link raises; never without faults). */
+    bool outDead(int q) const { return outDeadMask_ >> q & 1; }
 
     std::string name_;
     int routerId_;
@@ -268,11 +269,15 @@ class Router final : public Ticking,
     std::vector<Cycle> vcLastActivity_; ///< last push/pop (orphans)
     FlitSlab buffers_; ///< segment flatIdx(port, vc), depth vcDepth_
     std::vector<std::int32_t> portOcc_; ///< flits buffered per input port
+    /** Per input port: flit-cycles of occupancy folded so far, and the
+     *  cycle of the last change. The policy's B_u integral is an
+     *  integer signal, so integer bookkeeping is exact. */
+    std::vector<std::uint64_t> occArea_;
+    std::vector<Cycle> occSince_;
 
     // Hot mirrors of inputs_[p].{boundary, link} for the per-cycle
-    // arrival drain: InputPort is cache-line sized (it carries the
-    // occupancy tracker), so the drain's all-ports scan packs its two
-    // pointers here instead. Written only by the connectInput* calls.
+    // arrival drain, packed so the drain touches two flat arrays.
+    // Written only by the connectInput* calls.
     std::vector<BoundaryChannel *> inBoundary_;
     std::vector<OpticalLink *> inDrainLink_;
 
@@ -283,13 +288,18 @@ class Router final : public Ticking,
 
     // Per output port.
     std::vector<OpticalLink *> outLink_;
+    /** Cycle before which ST does not offer a latched flit: the link
+     *  is still serializing the last flit sent or refused this one,
+     *  and cannot take it sooner (OpticalLink::nextSendCycle;
+     *  setSendHold keeps this at or below the link's event horizon). */
+    std::vector<Cycle> stHold_;
     std::vector<std::uint8_t> latchFull_;
     std::vector<Flit> latch_;
     std::vector<RoundRobinArbiter> saArb_; ///< among input ports
     std::vector<RoundRobinArbiter> vaArb_; ///< among flattened input VCs
 
     std::vector<RoundRobinArbiter> saInputArb_; ///< per input port
-    std::vector<PendingCredit> pendingCredits_;
+    PendingCredits credits_; ///< by output VC flatIdx(q, v)
 
     std::uint64_t flitsSwitched_ = 0;
     std::uint64_t droppedDeadPort_ = 0;
@@ -312,16 +322,38 @@ class Router final : public Ticking,
      *  link (accept) or boundary channel (ArrivalFlag); cleared once
      *  the channel's ready side or the link's in-flight ring is empty. */
     std::uint64_t arrivalDue_ = 0;
+    /** Per input port with its bit up: the cycle its next flit lands
+     *  (the link's head arrival; 0 for a channel, whose ready flits
+     *  are due at once). A fault-free link's port is drained only from
+     *  that cycle on, and a parking router reads its wake cycle here
+     *  instead of asking the link. */
+    std::vector<Cycle> arrivalAt_;
     /** Bit p: input p is a directly polled link with a fault injector
      *  attached, drained on every awake tick (setFaultsAttached). */
     std::uint64_t pollMask_ = 0;
+    /** Bit p: input p is a directly polled link (connectInput). */
+    std::uint64_t linkInputs_ = 0;
     /** Bit flatIdx(p, v): input VC is kActive with flits buffered —
      *  exactly the VCs that may bid for the switch. */
     std::uint64_t saReady_ = 0;
     /** Bit flatIdx(q, v): output VC has credits (> 0). */
     std::uint64_t outOpen_ = 0;
+    /** Bit q: output q's link has hard-failed (OpticalLink::setFailFlag
+     *  raises it in the walk that fails the link). */
+    std::uint64_t outDeadMask_ = 0;
     std::uint64_t vcBits_ = 0; ///< low numVcs bits set (one port's VCs)
+    /** Port of each flat VC index (SA's walk looks it up instead of
+     *  dividing by numVcs). */
+    std::uint8_t flatPort_[64] = {};
     bool faultsAttached_ = false;
+
+    // The last switch allocation that nominated nothing saw these
+    // masks. Until one of them changes, SA would nominate nothing
+    // again, so it is skipped.
+    std::uint64_t saStuckReady_ = 0;
+    std::uint64_t saStuckLatch_ = 0;
+    std::uint64_t saStuckOpen_ = 0;
+    std::uint64_t saStuckDead_ = 0;
 
     /** Upper bound on ports (masks are 64-bit; VA flattens p*vcs+v). */
     static constexpr int kMaxPorts = 32;

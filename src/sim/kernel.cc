@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <memory>
 #include <utility>
 
@@ -55,6 +56,8 @@ Kernel::addTicking(Ticking *component)
     if (component->kernel_ && component->kernel_ != this)
         panic("Kernel::addTicking: component already registered "
               "with another kernel");
+    if (domains_[0]->inTickPass)
+        panic("Kernel::addTicking: registration during a tick pass");
     component->kernel_ = this;
     component->tickOrder_ = static_cast<std::uint32_t>(ticking_.size());
     component->domainIdx_ = 0;
@@ -62,8 +65,29 @@ Kernel::addTicking(Ticking *component)
     component->pendingWake_ = kNeverCycle;
     ticking_.push_back(component);
     Domain &dom = *domains_[0];
-    dom.members.push_back(component); // appended in order: stays sorted
-    dom.active.push_back(component);
+    // Appended in order, so the members stay sorted by tick order.
+    component->slot_ = static_cast<std::uint32_t>(dom.members.size());
+    dom.members.push_back(component);
+    if (slotsDirty_)
+        return; // the pending settleSlots sets its bit
+    if ((component->slot_ & 63) == 0)
+        dom.activeBits.push_back(0);
+    admit(dom, component);
+}
+
+void
+Kernel::reslot(Domain &dom)
+{
+    dom.activeBits.assign((dom.members.size() + 63) / 64, 0);
+    dom.activeN = 0;
+    for (std::size_t i = 0; i < dom.members.size(); i++) {
+        Ticking *t = dom.members[i];
+        t->slot_ = static_cast<std::uint32_t>(i);
+        if (!t->asleep_) {
+            dom.activeBits[i >> 6] |= 1ull << (i & 63);
+            dom.activeN++;
+        }
+    }
 }
 
 void
@@ -100,19 +124,28 @@ Kernel::setDomain(Ticking *component, int domain)
         panic("Kernel::setDomain: must run before the first step");
     Domain &from = *domains_[component->domainIdx_];
     std::erase(from.members, component);
-    std::erase(from.active, component);
     component->domainIdx_ = static_cast<std::uint16_t>(domain);
     Domain &to = *domains_[domain];
-    auto by_order = [](const Ticking *a, const Ticking *b) {
-        return a->tickOrder_ < b->tickOrder_;
-    };
     to.members.insert(std::lower_bound(to.members.begin(),
                                        to.members.end(), component,
-                                       by_order),
+                                       [](const Ticking *a,
+                                          const Ticking *b) {
+                                           return a->tickOrder_ <
+                                                  b->tickOrder_;
+                                       }),
                       component);
-    to.active.insert(std::lower_bound(to.active.begin(), to.active.end(),
-                                      component, by_order),
-                     component);
+    // Slots are renumbered once, before the first step (settleSlots):
+    // configuration moves every component, and renumbering per move
+    // would make it quadratic.
+    slotsDirty_ = true;
+}
+
+void
+Kernel::settleSlots()
+{
+    for (auto &dom : domains_)
+        reslot(*dom);
+    slotsDirty_ = false;
 }
 
 void
@@ -152,14 +185,54 @@ std::size_t
 Kernel::activeCount() const
 {
     std::size_t n = 0;
+    if (slotsDirty_) {
+        for (const Ticking *t : ticking_)
+            n += t->asleep_ ? 0 : 1;
+        return n;
+    }
     for (const auto &dom : domains_)
-        n += dom->active.size();
+        n += dom->activeN;
     return n;
+}
+
+void
+Kernel::auditActive()
+{
+    if (slotsDirty_)
+        settleSlots();
+    for (const auto &dom : domains_) {
+        std::size_t set = 0;
+        for (std::uint64_t w : dom->activeBits)
+            set += static_cast<std::size_t>(std::popcount(w));
+        if (dom->activeBits.size() != (dom->members.size() + 63) / 64 ||
+            set != dom->activeN)
+            panic("Kernel: domain %d active set holds %zu bits in %zu "
+                  "words, counted %zu, for %zu members",
+                  dom->index, set, dom->activeBits.size(), dom->activeN,
+                  dom->members.size());
+        for (std::size_t i = 0; i < dom->members.size(); i++) {
+            const Ticking *t = dom->members[i];
+            if (t->slot_ != i || t->domainIdx_ != dom->index ||
+                (i > 0 && dom->members[i - 1]->tickOrder_ >= t->tickOrder_))
+                panic("Kernel: domain %d slot %zu holds component %u "
+                      "(slot %u, domain %d) out of tick order",
+                      dom->index, i, t->tickOrder_, t->slot_,
+                      static_cast<int>(t->domainIdx_));
+            bool bit = dom->activeBits[i >> 6] >> (i & 63) & 1;
+            if (bit == t->asleep_)
+                panic("Kernel: domain %d slot %zu (component %u) has "
+                      "active bit %d while %s",
+                      dom->index, i, t->tickOrder_, bit ? 1 : 0,
+                      t->asleep_ ? "asleep" : "awake");
+        }
+    }
 }
 
 void
 Kernel::step()
 {
+    if (slotsDirty_)
+        settleSlots();
     if (now_ == nextEpoch_) {
         epochHook_(now_);
         nextEpoch_ += epochInterval_;
@@ -211,32 +284,52 @@ Kernel::runDomainPass(Domain &dom, Cycle now)
             admit(dom, c);
     }
     dom.inTickPass = true;
-    bool parked = false;
-    // Indexed loop: wake edges may insert into active mid-pass, but
-    // only at positions past the cursor (see wakeSleeping).
-    for (std::size_t i = 0; i < dom.active.size(); i++) {
-        Ticking *t = dom.active[i];
-        dom.passOrder = t->tickOrder_;
-        t->tick(now);
-        Cycle wake = t->nextWakeCycle(now);
-        // Park hysteresis: a component due again at now+2 would pay a
-        // heap push plus an O(active) sorted re-admit just to skip a
-        // single cycle; ticking it through the gap is cheaper. The
-        // extra tick is a no-op by the quiescence contract (elision
-        // off ticks everything every cycle and stays byte-identical),
-        // so output is unchanged.
-        if (wake > now + 2) {
-            t->asleep_ = true;
-            t->pendingWake_ = wake;
-            if (wake != kNeverCycle)
-                dom.wakeHeap.push(WakeEntry{wake, t});
-            parked = true;
+    dom.admitted = false;
+    // Walk the set bits in ascending (tick) order from a copy of each
+    // word. A wake edge may set a bit past the cursor (never at or
+    // before it; see wakeSleeping), and that component still ticks
+    // this cycle: admit raises dom.admitted, and the word is re-read
+    // then. Nothing resizes the arrays mid-pass (membership is
+    // configuration-time), so their bases stay put.
+    std::uint64_t *bits = dom.activeBits.data();
+    Ticking *const *members = dom.members.data();
+    const std::size_t words = dom.activeBits.size();
+    for (std::size_t w = 0; w < words; w++) {
+        std::uint64_t word = bits[w];
+        while (word != 0) {
+            int b = std::countr_zero(word);
+            word &= word - 1;
+            Ticking *t = members[w << 6 | static_cast<std::size_t>(b)];
+            // Start loading the next component's object (its vtable
+            // pointer first) while this one ticks.
+            if (word != 0)
+                __builtin_prefetch(
+                    members[w << 6 | static_cast<std::size_t>(
+                                         std::countr_zero(word))]);
+            dom.passOrder = t->tickOrder_;
+            t->tick(now);
+            Cycle wake = t->nextWakeCycle(now);
+            // Park hysteresis: a component due again at now+2 would
+            // pay a heap push and pop just to skip a single cycle;
+            // ticking it through the gap is cheaper. The extra tick is
+            // a no-op by the quiescence contract (elision off ticks
+            // everything every cycle and stays byte-identical), so
+            // output is unchanged.
+            if (wake > now + 2) {
+                t->asleep_ = true;
+                t->pendingWake_ = wake;
+                if (wake != kNeverCycle)
+                    dom.wakeHeap.push(WakeEntry{wake, t});
+                bits[w] &= ~(1ull << b);
+                dom.activeN--;
+            }
+            if (dom.admitted) {
+                dom.admitted = false;
+                word = bits[w] & ~((2ull << b) - 1); // bits past b
+            }
         }
     }
     dom.inTickPass = false;
-    if (parked)
-        std::erase_if(dom.active,
-                      [](const Ticking *t) { return t->asleep_; });
 }
 
 void
@@ -257,7 +350,7 @@ Kernel::shardsQuiet() const
         return false;
     for (int d = 1; d <= shards_; d++) {
         const Domain &dom = *domains_[d];
-        if (!dom.active.empty() || dom.pendingWork)
+        if (dom.activeN != 0 || dom.pendingWork)
             return false;
         // A stale heap head (superseded wake) conservatively runs the
         // phase; the domain's own admit loop then discards it.
@@ -281,19 +374,6 @@ Kernel::workerLoop(int domain_index)
         runShardPhase(*domains_[domain_index], phaseCycle_);
         phaseDone_.fetch_add(1, std::memory_order_release);
     }
-}
-
-void
-Kernel::admit(Domain &dom, Ticking *component)
-{
-    component->asleep_ = false;
-    component->pendingWake_ = kNeverCycle;
-    auto pos = std::lower_bound(
-        dom.active.begin(), dom.active.end(), component,
-        [](const Ticking *a, const Ticking *b) {
-            return a->tickOrder_ < b->tickOrder_;
-        });
-    dom.active.insert(pos, component);
 }
 
 void
@@ -340,10 +420,9 @@ Kernel::setIdleElision(bool on)
             t->asleep_ = false;
             t->pendingWake_ = kNeverCycle;
         }
-        for (auto &dom : domains_) {
-            dom->active = dom->members;
+        settleSlots();
+        for (auto &dom : domains_)
             dom->wakeHeap = {};
-        }
     }
 }
 

@@ -34,8 +34,11 @@
  * queues drained by per-domain pre-pass hooks; see DESIGN.md section
  * 11 and docs/DETERMINISM.md for the full contract. Each domain keeps
  * its own active set and wake heap, so idle elision doubles as the
- * per-shard work queue. The single-domain path (no configureSharding
- * call) is the reference implementation and stays byte-identical.
+ * per-shard work queue. A domain's active set is a bitmap with one bit
+ * per member slot; slots are numbered in tick order, so the pass walks
+ * set bits in ascending order and a wake is one bit set. The
+ * single-domain path (no configureSharding call) is the reference
+ * implementation and stays byte-identical.
  */
 
 #ifndef OENET_SIM_KERNEL_HH
@@ -95,6 +98,7 @@ class Ticking
     friend class Kernel;
     Kernel *kernel_ = nullptr;     ///< set by Kernel::addTicking
     std::uint32_t tickOrder_ = 0;  ///< registration index (tick order)
+    std::uint32_t slot_ = 0;       ///< index in its domain's members
     std::uint16_t domainIdx_ = 0;  ///< tick domain (0 = serial phase)
     bool asleep_ = false;
     Cycle pendingWake_ = kNeverCycle; ///< authoritative earliest wake
@@ -209,6 +213,14 @@ class Kernel
 
     /** Components in the per-cycle pass right now (diagnostics). */
     std::size_t activeCount() const;
+
+    /**
+     * Check every domain's active bitmap against its members: slot i
+     * holds the i-th member in tick order, and its bit is set exactly
+     * when that component is awake. Panics on any mismatch. Valid
+     * between steps (the conservation audit and tests call it there).
+     */
+    void auditActive();
     std::size_t tickingCount() const { return ticking_.size(); }
 
     Cycle now() const { return now_; }
@@ -232,7 +244,7 @@ class Kernel
 
     /**
      * One tick domain: a slice of the registered components with its
-     * own active list, wake heap, and pass state. Domain 0 always
+     * own active set, wake heap, and pass state. Domain 0 always
      * exists and is the whole kernel when sharding is off; shard
      * domains are only touched by their own thread during the parallel
      * phase and by the driving thread between phases.
@@ -240,8 +252,14 @@ class Kernel
     struct Domain
     {
         int index = 0;
-        std::vector<Ticking *> members; ///< all components, tick order
-        std::vector<Ticking *> active;  ///< awake subset, same order
+        /** All components in tick order; a component's slot_ is its
+         *  index here. */
+        std::vector<Ticking *> members;
+        /** Active set: bit slot_ is set while the component is awake.
+         *  Ascending bit order is tick order. */
+        std::vector<std::uint64_t> activeBits;
+        std::size_t activeN = 0; ///< set bits in activeBits
+        bool admitted = false;   ///< admit ran since the pass last looked
         /** Timed wakes; lazily deleted — Ticking::pendingWake_ is the
          *  authority, stale entries are skipped on pop. */
         std::priority_queue<WakeEntry, std::vector<WakeEntry>, WakeLater>
@@ -252,8 +270,23 @@ class Kernel
         bool pendingWork = false; ///< boundary deliveries staged
     };
 
-    /** Re-admit a parked component into its domain's active list. */
-    void admit(Domain &dom, Ticking *component);
+    /** Re-admit a parked component into its domain's active set. */
+    void admit(Domain &dom, Ticking *component)
+    {
+        component->asleep_ = false;
+        component->pendingWake_ = kNeverCycle;
+        dom.activeBits[component->slot_ >> 6] |= 1ull
+                                                 << (component->slot_ & 63);
+        dom.activeN++;
+        dom.admitted = true;
+    }
+
+    /** Renumber @p dom's member slots and rebuild its active set from
+     *  the members' asleep_ flags (configuration time). */
+    static void reslot(Domain &dom);
+
+    /** Reslot every domain after setDomain moves. */
+    void settleSlots();
 
     /** Handle Ticking::wakeAt for a parked component. */
     void wakeSleeping(Ticking *component, Cycle at);
@@ -276,6 +309,7 @@ class Kernel
 
     bool idleElision_ = true;
     bool phased_ = false;
+    bool slotsDirty_ = false; ///< setDomain moved members since reslot
     int shards_ = 1;
 
     // Epoch hook (metrics snapshots).

@@ -79,6 +79,27 @@ TEST(ConservationAudit, HardLinkFailureStillBalances)
         << "flit ledger lost track of dropped/poisoned traffic";
 }
 
+TEST(ConservationAudit, FaultedOnOffCorruptionBooksBalance)
+{
+    // Power gating under a high BER: links are gated off and woken with
+    // corrupt copies in flight. Every corrupt copy must end in a
+    // replay, still be in flight, or die with its link, and never be
+    // delivered as clean.
+    SystemConfig c = smallConfig();
+    c.policyMode = PolicyMode::kOnOff;
+    c.fault.enabled = true;
+    c.fault.berFloor = 2e-3;
+    c.fault.lockLossPerCycle = 1e-4;
+    PoeSystem sys(c);
+    sys.setTraffic(std::make_unique<UniformRandomTraffic>(
+        UniformRandomTraffic::Params{c.numNodes(), 0.3, 4, 5}));
+    sys.run(6000);
+    EXPECT_EQ(sys.auditConservation(), 0u);
+    OpticalLink::CorruptionBooks books = sys.network().corruptionBooks();
+    EXPECT_GT(books.marked, 0u);
+    EXPECT_EQ(books.marked, books.replayed + books.inFlight + books.dropped);
+}
+
 TEST(ConservationAudit, DirectAuditOnQuiescentSystem)
 {
     SystemConfig c = smallConfig();

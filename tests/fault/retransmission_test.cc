@@ -192,3 +192,56 @@ TEST(HardFail, FailedLinkReportsOffPower)
     EXPECT_FALSE(pump.link.canAccept(50));
     EXPECT_DOUBLE_EQ(pump.link.powerMw(60), 1.25);
 }
+
+TEST(Retransmission, GatedOffCorruptHeadWaitsForTheWakeThenReplays)
+{
+    // A corrupt head must never reach the receiver as clean, even
+    // while the link is gated off (its replay is on hold then).
+    Pump pump(corruptingParams(0.5)); // nearly every copy corrupt
+    OpticalLink &link = pump.link;
+    Flit f;
+    f.packet = 7;
+    f.flags = Flit::kHeadFlag | Flit::kTailFlag;
+    ASSERT_TRUE(link.canAccept(0));
+    link.accept(0, f);
+    ASSERT_EQ(link.flitsCorrupted(), 1u);
+    link.setOff(0, true);
+
+    EXPECT_FALSE(link.hasArrival(2));
+    EXPECT_EQ(link.flitRetries(), 0u);
+    // Held while off: no receiver event, so a parked receiver does not
+    // spin on it.
+    EXPECT_EQ(link.nextReceiverEventCycle(), kNeverCycle);
+
+    link.setOff(10, false); // relock, then the replay resumes
+    Cycle t = 10;
+    while (!link.hasArrival(t) && t < 1000000000)
+        t += 1000;
+    ASSERT_TRUE(link.hasArrival(t));
+    EXPECT_EQ(link.popArrival(t).packet, 7u);
+    EXPECT_GE(link.flitRetries(), 1u);
+    OpticalLink::CorruptionBooks books = link.corruptionBooks();
+    EXPECT_EQ(books.inFlight, 0u);
+    EXPECT_EQ(books.marked, books.replayed + books.inFlight + books.dropped);
+}
+
+TEST(Retransmission, CorruptionBooksBalanceThroughLockLossAndFailure)
+{
+    FaultParams fp = corruptingParams(0.01);
+    fp.lockLossPerCycle = 0.01;
+    fp.killLink = 0;
+    fp.killCycle = 1500;
+    Pump pump(fp);
+    pump.run(400, 3000);
+    OpticalLink::CorruptionBooks books = pump.link.corruptionBooks();
+    EXPECT_TRUE(pump.link.isFailed());
+    EXPECT_GT(books.marked, pump.link.flitsCorrupted())
+        << "lock losses scramble copies without a corruption draw";
+    EXPECT_EQ(books.marked, books.replayed + books.inFlight + books.dropped);
+    // resetStats clears the windowed counters, never the books.
+    pump.link.resetStats(3000);
+    OpticalLink::CorruptionBooks after = pump.link.corruptionBooks();
+    EXPECT_EQ(after.marked, books.marked);
+    EXPECT_EQ(after.replayed, books.replayed);
+    EXPECT_EQ(after.dropped, books.dropped);
+}

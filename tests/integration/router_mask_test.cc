@@ -10,10 +10,14 @@
  *    dead-output drop path, dead-port VA grants, poison tails;
  *  - --shards 2: cross-shard channels (bit raised by the destination
  *    pre-pass) beside same-shard direct channels (raised at staging);
- *  - --shards 2 with sim.direct_boundary=off: every edge generic.
- * Every link's event horizon (OpticalLink::auditDue) is audited after
- * each step too; the faulted setup is where lock losses, phase ends
- * and the hard failure move it. The single-router stress harness
+ *  - --shards 2 with sim.direct_boundary=off: every edge generic;
+ *  - --shards 1 without faults: every inter-router link polled by its
+ *    destination router (no shuttle), so every due bit comes from a
+ *    link's accept with its arrival cycle.
+ * Every link's event horizon (OpticalLink::auditDue) and the kernel's
+ * active bitmaps (Kernel::auditActive) are audited after each step
+ * too; the faulted setup is where lock losses, phase ends and the hard
+ * failure move the horizon. The single-router stress harness
  * audits masks after every tick (tests/router/router_stress_test.cc).
  */
 
@@ -31,6 +35,7 @@ enum class Setup
     kFaultedKill,
     kTwoShards,
     kTwoShardsGeneric,
+    kOneShard,
 };
 
 SystemConfig
@@ -56,6 +61,8 @@ configFor(Setup setup)
       case Setup::kTwoShardsGeneric:
         c.shards = 2;
         c.directBoundary = false;
+        break;
+      case Setup::kOneShard:
         break;
     }
     return c;
@@ -83,6 +90,7 @@ stepAndAudit(PoeSystem &sys, Cycle cycles)
             net.router(r).auditMasks();
         for (std::size_t l = 0; l < net.numLinks(); l++)
             net.link(l).auditDue();
+        sys.kernel().auditActive();
     }
 }
 
@@ -125,7 +133,7 @@ std::string
 setupName(const ::testing::TestParamInfo<RouterMasks::ParamType> &info)
 {
     static const char *const kNames[] = {"FaultedKill", "TwoShards",
-                                         "TwoShardsGeneric"};
+                                         "TwoShardsGeneric", "OneShard"};
     return std::string(kNames[static_cast<int>(std::get<0>(info.param))]) +
            "_seed" + std::to_string(std::get<1>(info.param));
 }
@@ -136,6 +144,7 @@ INSTANTIATE_TEST_SUITE_P(
     Setups, RouterMasks,
     ::testing::Combine(::testing::Values(Setup::kFaultedKill,
                                          Setup::kTwoShards,
-                                         Setup::kTwoShardsGeneric),
+                                         Setup::kTwoShardsGeneric,
+                                         Setup::kOneShard),
                        ::testing::Values(1, 2, 3)),
     setupName);

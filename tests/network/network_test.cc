@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.hh"
+#include "core/poe_system.hh"
+#include "fault/fault_injector.hh"
 #include "network/network.hh"
 
 using namespace oenet;
@@ -185,4 +187,79 @@ TEST(NetworkDeath, BadEndpointsPanic)
     Kernel kernel;
     Network net(kernel, smallParams());
     EXPECT_DEATH(net.injectPacket(0, 99, 1, 0), "endpoints");
+}
+
+// ---------------------------------------------------------------------
+// Which inter-router links keep a boundary shuttle (boundary.hh): only
+// cross-shard edges and, with a fault injector, every edge.
+// ---------------------------------------------------------------------
+
+namespace {
+
+/** Inter-router links of @p net whose endpoints are in different
+ *  shards. */
+std::size_t
+crossShardEdges(const Network &net)
+{
+    std::size_t n = 0;
+    for (std::size_t i = 0; i < net.numLinks(); i++) {
+        const LinkSpec &spec = net.linkSpec(i);
+        if (spec.kind == LinkKind::kInterRouter &&
+            net.shardOf(spec.srcRouter) != net.shardOf(spec.dstRouter))
+            n++;
+    }
+    return n;
+}
+
+constexpr std::size_t kPaperInterRouterLinks = 224; // 8x8 mesh
+constexpr std::size_t kPaperTickers = 1 + 64 + 512; // pump, routers, nodes
+
+} // namespace
+
+TEST(NetworkShuttles, FaultFreeSingleShardRegistersNone)
+{
+    SystemConfig c; // the paper's 8x8x8 system
+    PoeSystem sys(c);
+    EXPECT_EQ(sys.network().numShuttles(), 0u);
+    EXPECT_EQ(sys.kernel().tickingCount(), kPaperTickers);
+}
+
+TEST(NetworkShuttles, FaultedSystemShuttlesEveryInterRouterLink)
+{
+    SystemConfig c;
+    c.fault.enabled = true;
+    PoeSystem sys(c);
+    EXPECT_EQ(sys.network().numShuttles(), kPaperInterRouterLinks);
+    EXPECT_EQ(sys.kernel().tickingCount(),
+              kPaperTickers + kPaperInterRouterLinks);
+}
+
+TEST(NetworkShuttles, TwoShardsShuttleOnlyCrossShardEdges)
+{
+    SystemConfig c;
+    c.shards = 2;
+    PoeSystem sys(c);
+    std::size_t cross = crossShardEdges(sys.network());
+    EXPECT_GT(cross, 0u);
+    EXPECT_LT(cross, kPaperInterRouterLinks);
+    EXPECT_EQ(sys.network().numShuttles(), cross);
+    EXPECT_EQ(sys.kernel().tickingCount(), kPaperTickers + cross);
+}
+
+TEST(NetworkShuttles, GenericBoundaryShuttlesEveryEdge)
+{
+    SystemConfig c;
+    c.directBoundary = false;
+    PoeSystem sys(c);
+    EXPECT_EQ(sys.network().numShuttles(), kPaperInterRouterLinks);
+}
+
+TEST(NetworkShuttlesDeath, FaultInjectorOnShuttleFreeNetworkPanics)
+{
+    Kernel kernel;
+    Network net(kernel, smallParams()); // faultInjection off
+    FaultParams fp;
+    fp.enabled = true;
+    FaultInjector faults(fp, static_cast<int>(net.numLinks()));
+    EXPECT_DEATH(net.setFaultInjector(&faults), "faultInjection");
 }

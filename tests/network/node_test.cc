@@ -143,3 +143,16 @@ TEST_F(NodeTest, HandlesNoTrafficGracefully)
     EXPECT_EQ(node_->flitsInjected(), 0u);
     EXPECT_EQ(node_->packetsEjected(), 0u);
 }
+
+TEST_F(NodeTest, CreditBucketRejectsASecondDueCycle)
+{
+    node_->returnCredit(0, 1, 20);
+    EXPECT_DEATH(node_->returnCredit(0, 1, 22),
+                 "credit due at 23 returned while credits due at 21");
+}
+
+TEST_F(NodeTest, CreditBucketRejectsALateApply)
+{
+    node_->returnCredit(0, 1, 20);
+    EXPECT_DEATH(node_->tick(23), "credits due at 21 applied at 23");
+}

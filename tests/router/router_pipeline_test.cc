@@ -300,3 +300,64 @@ TEST_F(RouterPipelineTest, FlitsSwitchedCounter)
     drive(80, packet(1, 1, 6), 0, 0, &out);
     EXPECT_EQ(router_->flitsSwitched(), 6u);
 }
+
+TEST_F(RouterPipelineTest, OccupancyIntegralIsExactFlitCycles)
+{
+    // The B_u integral is the sum, over every cycle, of the flits
+    // buffered at the input during it (the occupancy after the cycle's
+    // tick holds until the next tick).
+    std::vector<Flit> feed = packet(1, 1, 20);
+    std::size_t next = 0;
+    std::uint64_t area = 0;
+    for (Cycle t = 0; t < 120; t++) {
+        router_->tick(t);
+        if (next < feed.size() && inLinks_[0]->canAccept(t) &&
+            static_cast<int>(next) - probe_.credits[{0, 0}] < kVcDepth) {
+            Flit f = feed[next++];
+            f.vc = 0;
+            inLinks_[0]->accept(t, f);
+        }
+        area += static_cast<std::uint64_t>(router_->inputOccupancy(0));
+        ASSERT_EQ(router_->occupancyIntegral(0, t + 1),
+                  static_cast<double>(area))
+            << "cycle " << t;
+    }
+    EXPECT_GT(area, 0u);
+}
+
+TEST_F(RouterPipelineTest, PendingCreditsApplyAtTheirCycle)
+{
+    // Send 4 flits out of port 1 and hold their credits back.
+    std::map<int, std::vector<Flit>> out;
+    drive(40, packet(1, 1, 4), 0, 0, &out, false);
+    ASSERT_EQ(out[1].size(), 4u);
+    int ov = out[1].front().vc;
+    ASSERT_EQ(router_->outputCredits(1, ov), kVcDepth - 4);
+
+    router_->returnCredit(1, ov, 50);
+    router_->returnCredit(1, ov, 50);
+    router_->returnCredit(1, ov, 51);
+    EXPECT_EQ(router_->pendingCreditCount(), 3u);
+    router_->tick(51); // applies the two due at 51, not the one at 52
+    EXPECT_EQ(router_->pendingCreditCount(), 1u);
+    EXPECT_EQ(router_->outputCredits(1, ov), kVcDepth - 2);
+    router_->tick(52);
+    EXPECT_EQ(router_->pendingCreditCount(), 0u);
+    EXPECT_EQ(router_->outputCredits(1, ov), kVcDepth - 1);
+}
+
+TEST_F(RouterPipelineTest, CreditBucketRejectsASecondDueCycle)
+{
+    // Credits due at 6 share a bucket with credits due at 8; returning
+    // one for 8 while the one for 6 is unapplied means the router
+    // missed cycle 6.
+    router_->returnCredit(1, 0, 5);
+    EXPECT_DEATH(router_->returnCredit(1, 0, 7),
+                 "credit due at 8 returned while credits due at 6");
+}
+
+TEST_F(RouterPipelineTest, CreditBucketRejectsALateApply)
+{
+    router_->returnCredit(1, 0, 5);
+    EXPECT_DEATH(router_->tick(8), "credits due at 6 applied at 8");
+}

@@ -6,7 +6,9 @@
  * path that needs to move), and a randomized soak asserting that
  * elision-on and elision-off runs emit byte-identical trace streams
  * and identical metrics — the property the CI cmp checks enforce at
- * bench scale.
+ * bench scale. Every test steps one cycle at a time and checks the
+ * kernel's active bitmaps against the components' sleep state after
+ * each step (Kernel::auditActive).
  */
 
 #include <gtest/gtest.h>
@@ -57,6 +59,25 @@ smallConfig()
     return c;
 }
 
+/** Step @p k @p cycles times, auditing its active set after each. */
+void
+runAudited(Kernel &k, Cycle cycles)
+{
+    for (Cycle i = 0; i < cycles; i++) {
+        k.step();
+        k.auditActive();
+    }
+}
+
+void
+runAudited(PoeSystem &sys, Cycle cycles)
+{
+    for (Cycle i = 0; i < cycles; i++) {
+        sys.run(1);
+        sys.kernel().auditActive();
+    }
+}
+
 std::unique_ptr<TrafficSource>
 uniform(double rate, const SystemConfig &cfg, std::uint64_t seed = 1)
 {
@@ -75,7 +96,7 @@ TEST(IdleElision, ComponentReportingNeverParksAfterOneTick)
     Sleeper s; // wake = kNeverCycle
     k.addTicking(&s);
     EXPECT_EQ(k.activeCount(), 1u);
-    k.run(5);
+    runAudited(k, 5);
     EXPECT_EQ(s.ticks, (std::vector<Cycle>{0})); // ticked once, parked
     EXPECT_TRUE(s.asleep());
     EXPECT_EQ(k.activeCount(), 0u);
@@ -88,7 +109,7 @@ TEST(IdleElision, TimedWakeLandsOnTheExactCycle)
     Sleeper s;
     s.wake = 7; // park until cycle 7 after the first tick
     k.addTicking(&s);
-    k.run(8);
+    runAudited(k, 8);
     EXPECT_EQ(s.ticks, (std::vector<Cycle>{0, 7}));
 }
 
@@ -102,7 +123,7 @@ TEST(IdleElision, SelfReArmingComponentTicksPeriodically)
         Cycle nextWakeCycle(Cycle now) override { return now + 5; }
     } p;
     k.addTicking(&p);
-    k.run(16);
+    runAudited(k, 16);
     EXPECT_EQ(p.ticks, (std::vector<Cycle>{0, 5, 10, 15}));
 }
 
@@ -111,10 +132,10 @@ TEST(IdleElision, WakeAtPullsASleeperInEarlier)
     Kernel k;
     Sleeper s; // parks indefinitely after cycle 0
     k.addTicking(&s);
-    k.run(2);
+    runAudited(k, 2);
     ASSERT_TRUE(s.asleep());
     s.wakeAt(4);
-    k.run(4); // through cycle 5
+    runAudited(k, 4); // through cycle 5
     EXPECT_EQ(s.ticks, (std::vector<Cycle>{0, 4}));
     EXPECT_TRUE(s.asleep()); // re-parked after the woken tick
 }
@@ -125,9 +146,9 @@ TEST(IdleElision, EarlierWakeOverridesLaterPendingWake)
     Sleeper s;
     s.wake = 50;
     k.addTicking(&s);
-    k.step(); // tick at 0, park until 50
+    runAudited(k, 1); // tick at 0, park until 50
     s.wakeAt(3);
-    k.run(9);
+    runAudited(k, 9);
     EXPECT_EQ(s.ticks, (std::vector<Cycle>{0, 3}));
 }
 
@@ -137,9 +158,9 @@ TEST(IdleElision, LaterWakeAtDoesNotDelayPendingWake)
     Sleeper s;
     s.wake = 5;
     k.addTicking(&s);
-    k.step();
+    runAudited(k, 1);
     s.wakeAt(30); // hint later than the armed wake: must not postpone
-    k.run(7);
+    runAudited(k, 7);
     EXPECT_EQ(s.ticks, (std::vector<Cycle>{0, 5}));
 }
 
@@ -153,9 +174,9 @@ TEST(IdleElision, WakeAtIsANoOpWhileActive)
         // default nextWakeCycle: stays active every cycle
     } a;
     k.addTicking(&a);
-    k.step();
+    runAudited(k, 1);
     a.wakeAt(100); // must not park or reschedule an active component
-    k.run(3);
+    runAudited(k, 3);
     EXPECT_EQ(a.ticks, (std::vector<Cycle>{0, 1, 2, 3}));
 }
 
@@ -178,11 +199,11 @@ TEST(IdleElision, MidPassWakeOfLaterComponentLandsSameCycle)
     Sleeper b;
     k.addTicking(&a);
     k.addTicking(&b);
-    k.run(2); // b parks after cycle 0
+    runAudited(k, 2); // b parks after cycle 0
     ASSERT_TRUE(b.asleep());
     a.fireAt = 3;
     a.target = &b;
-    k.run(3); // through cycle 4
+    runAudited(k, 3); // through cycle 4
     EXPECT_EQ(b.ticks, (std::vector<Cycle>{0, 3}));
 }
 
@@ -207,11 +228,11 @@ TEST(IdleElision, MidPassWakeOfEarlierComponentDefersOneCycle)
     } b;
     k.addTicking(&a);
     k.addTicking(&b);
-    k.run(2); // a parks after cycle 0
+    runAudited(k, 2); // a parks after cycle 0
     ASSERT_TRUE(a.asleep());
     b.fireAt = 3;
     b.target = &a;
-    k.run(3); // through cycle 4
+    runAudited(k, 3); // through cycle 4
     EXPECT_EQ(a.ticks, (std::vector<Cycle>{0, 4}));
 }
 
@@ -236,11 +257,11 @@ TEST(IdleElision, ReAdmittedComponentKeepsRegistrationOrder)
     k.addTicking(&first);
     k.addTicking(&middle);
     k.addTicking(&last);
-    k.run(2); // cycle 0: 1,2,3; cycle 1: 1,3 (middle parked)
+    runAudited(k, 2); // cycle 0: 1,2,3; cycle 1: 1,3 (middle parked)
     ASSERT_TRUE(middle.asleep());
     middle.wakeAt(2);
     log.clear();
-    k.step(); // cycle 2: middle must tick between first and last
+    runAudited(k, 1); // cycle 2: middle must tick between first and last
     EXPECT_EQ(log, (std::vector<int>{1, 2, 3}));
 }
 
@@ -249,12 +270,12 @@ TEST(IdleElision, DisablingElisionReAdmitsEverything)
     Kernel k;
     Sleeper s;
     k.addTicking(&s);
-    k.run(3);
+    runAudited(k, 3);
     ASSERT_TRUE(s.asleep());
     k.setIdleElision(false);
     EXPECT_FALSE(s.asleep());
     EXPECT_EQ(k.activeCount(), 1u);
-    k.run(3);
+    runAudited(k, 3);
     // Ticks every cycle now, nextWakeCycle answers ignored.
     EXPECT_EQ(s.ticks, (std::vector<Cycle>{0, 3, 4, 5}));
 }
@@ -265,9 +286,76 @@ TEST(IdleElision, ElisionOffNeverSleeps)
     k.setIdleElision(false);
     Sleeper s; // reports kNeverCycle, but elision is off
     k.addTicking(&s);
-    k.run(4);
+    runAudited(k, 4);
     EXPECT_FALSE(s.asleep());
     EXPECT_EQ(s.ticks, (std::vector<Cycle>{0, 1, 2, 3}));
+}
+
+TEST(IdleElision, MidPassWakesAcrossBitmapWordsTickInOrder)
+{
+    // 150 sleepers span three 64-bit words of the active bitmap. At
+    // cycle 3 a waker early in tick order pulls in one sleeper later in
+    // its own word and one in each later word (all tick this cycle, in
+    // tick order); the sleeper it wakes from before its own slot ticks
+    // next cycle.
+    Kernel k;
+    std::vector<int> log;
+    struct Waker : Ticking
+    {
+        std::vector<Sleeper> *sleepers = nullptr;
+        void tick(Cycle now) override
+        {
+            if (now != 3)
+                return;
+            for (int i : {130, 70, 40, 2})
+                (*sleepers)[static_cast<std::size_t>(i)].wakeAt(now);
+        }
+        Cycle nextWakeCycle(Cycle now) override
+        {
+            return now < 3 ? 3 : kNeverCycle;
+        }
+    } waker;
+    std::vector<Sleeper> sleepers(150);
+    waker.sleepers = &sleepers;
+    for (int i = 0; i < 150; i++) {
+        auto &s = sleepers[static_cast<std::size_t>(i)];
+        s.id = i;
+        s.log = &log;
+        if (i == 5)
+            k.addTicking(&waker); // slot 5: between sleepers 4 and 5
+        k.addTicking(&s);
+    }
+    runAudited(k, 3); // cycle 0 ticks everyone once; all park
+    log.clear();
+    runAudited(k, 1); // cycle 3
+    EXPECT_EQ(log, (std::vector<int>{40, 70, 130}));
+    log.clear();
+    runAudited(k, 1); // cycle 4
+    EXPECT_EQ(log, (std::vector<int>{2}));
+    EXPECT_EQ(k.activeCount(), 0u);
+}
+
+TEST(IdleElision, ShardDomainsKeepTheirOwnBitmaps)
+{
+    // Moving components between domains renumbers each domain's slots
+    // in tick order; the audit holds before and after stepping.
+    Kernel k;
+    std::vector<Sleeper> sleepers(100);
+    for (auto &s : sleepers)
+        k.addTicking(&s);
+    k.configureSharding(2);
+    for (int i = 0; i < 100; i++)
+        k.setDomain(&sleepers[static_cast<std::size_t>(i)],
+                    i % 3 == 0 ? 0 : 1 + i % 2);
+    k.auditActive();
+    EXPECT_EQ(k.activeCount(), 100u);
+    sleepers[10].wake = 6;
+    sleepers[99].wake = 6;
+    runAudited(k, 8);
+    EXPECT_EQ(sleepers[10].ticks, (std::vector<Cycle>{0, 6}));
+    EXPECT_EQ(sleepers[99].ticks, (std::vector<Cycle>{0, 6}));
+    EXPECT_EQ(sleepers[11].ticks, (std::vector<Cycle>{0}));
+    EXPECT_EQ(k.activeCount(), 0u);
 }
 
 // ---------------------------------------------------------------------
@@ -278,7 +366,7 @@ TEST(IdleElisionSystem, IdleSystemFullyQuiesces)
 {
     PoeSystem sys(smallConfig());
     EXPECT_GT(sys.kernel().tickingCount(), 0u);
-    sys.run(2000);
+    runAudited(sys, 2000);
     // No traffic: the pump, every router, and every node park.
     EXPECT_EQ(sys.kernel().activeCount(), 0u);
     EXPECT_EQ(sys.now(), 2000u);
@@ -288,7 +376,7 @@ TEST(IdleElisionSystem, InjectionWakesPathDeliversAndReParks)
 {
     SystemConfig cfg = smallConfig();
     PoeSystem sys(cfg);
-    sys.run(2000);
+    runAudited(sys, 2000);
     ASSERT_EQ(sys.kernel().activeCount(), 0u);
     std::uint64_t ejected = sys.network().packetsEjected();
     // Hand a packet directly to a sleeping node: the enqueue wake edge
@@ -296,7 +384,7 @@ TEST(IdleElisionSystem, InjectionWakesPathDeliversAndReParks)
     // route, and the whole path must go back to sleep after delivery.
     sys.network().injectPacket(0, 7, 4, sys.now());
     EXPECT_GT(sys.kernel().activeCount(), 0u);
-    sys.run(2000);
+    runAudited(sys, 2000);
     EXPECT_EQ(sys.network().packetsEjected(), ejected + 1);
     EXPECT_EQ(sys.kernel().activeCount(), 0u);
 }
@@ -306,12 +394,12 @@ TEST(IdleElisionSystem, TrafficKeepsPumpAwakeAndQuiescesAfterDetach)
     SystemConfig cfg = smallConfig();
     PoeSystem sys(cfg);
     sys.setTraffic(uniform(0.3, cfg));
-    sys.run(1000);
+    runAudited(sys, 1000);
     // The pump draws RNG every cycle while a source is attached.
     EXPECT_GT(sys.kernel().activeCount(), 0u);
     EXPECT_GT(sys.network().packetsInjected(), 0u);
     sys.setTraffic(nullptr);
-    sys.run(3000); // in-flight packets drain, then everything parks
+    runAudited(sys, 3000); // in-flight packets drain, then everything parks
     EXPECT_EQ(sys.kernel().activeCount(), 0u);
     EXPECT_EQ(sys.network().flitsInSystem(), 0u);
 }
@@ -340,11 +428,12 @@ soakRun(SystemConfig cfg, bool elision, double rate, std::uint64_t seed)
     PoeSystem sys(cfg);
     sys.setTraceSink(&sink, 500);
     sys.setTraffic(uniform(rate, cfg, seed));
-    sys.run(1000);
+    runAudited(sys, 1000);
     sys.startMeasurement();
-    sys.run(2000);
+    runAudited(sys, 2000);
     sys.stopMeasurement();
     sys.awaitDrain(8000);
+    sys.kernel().auditActive();
     r.metrics = sys.metrics();
     sys.setTraceSink(nullptr);
     r.trace = os.str();
@@ -417,4 +506,25 @@ TEST(IdleElisionSoak, OnOffPolicyHistoriesIdentical)
     SoakResult on = soakRun(cfg, true, 0.4, 11);
     SoakResult off = soakRun(cfg, false, 0.4, 11);
     expectIdentical(on, off);
+}
+
+TEST(IdleElisionSoak, FaultedOnOffHistoriesIdentical)
+{
+    // Power gating under faults: a link may be gated off with a corrupt
+    // copy in flight, which then waits for the wake to replay. The
+    // receiver's wake for that replay must land where an every-cycle
+    // poller would replay it.
+    SystemConfig cfg = smallConfig();
+    cfg.policyMode = PolicyMode::kOnOff;
+    cfg.fault.enabled = true;
+    cfg.fault.seed = 4;
+    cfg.fault.berFloor = 2e-3;
+    cfg.fault.lockLossPerCycle = 1e-4;
+    for (std::uint64_t seed : {3u, 8u}) {
+        SoakResult on = soakRun(cfg, true, 0.3, seed);
+        SoakResult off = soakRun(cfg, false, 0.3, seed);
+        SCOPED_TRACE("seed=" + std::to_string(seed));
+        expectIdentical(on, off);
+        EXPECT_GT(on.metrics.flitRetries, 0u);
+    }
 }
